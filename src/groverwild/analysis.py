@@ -118,6 +118,7 @@ def verify_against_classical(
     expected: set[str] | frozenset[str],
     codec: AlphabetCodec,
     reverse: bool = False,
+    decoded: Sequence[str] | None = None,
 ) -> Verdict:
     """Close the loop against the classical matcher.
 
@@ -125,14 +126,18 @@ def verify_against_classical(
     CONTROL_PASS: ``expected`` is empty and the report is not consistent
     (winner churn or mass below the 2x-uniform bar).
     FAIL: anything else, including undecodable winner states.
+
+    ``decoded`` passes the agreed states already decoded by the caller, so
+    they are not decoded a second time.
     """
     if report.consistent:
         assert report.states is not None
-        try:
-            decoded = set(decode_results(report.states, codec, reverse))
-        except InputError:
-            return Verdict.FAIL
-        return Verdict.PASS if decoded == set(expected) else Verdict.FAIL
+        if decoded is None:
+            try:
+                decoded = decode_results(report.states, codec, reverse)
+            except InputError:
+                return Verdict.FAIL
+        return Verdict.PASS if set(decoded) == set(expected) else Verdict.FAIL
     return Verdict.CONTROL_PASS if not expected else Verdict.FAIL
 
 

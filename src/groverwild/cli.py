@@ -190,20 +190,18 @@ def run_scenario(
     if config.reverse:
         hists = [reverse_histogram(h) for h in hists]
     report = consistency(hists, k)
-    verdict = verify_against_classical(
-        report, expected, pipeline.build.codec, reverse=config.reverse
-    )
+    codec = pipeline.build.codec
     decoded: tuple[str, ...] = ()
-    if report.consistent:
-        try:
-            decoded = tuple(
-                decode_results(report.states, pipeline.build.codec, config.reverse)
-            )
-        except InputError:
-            decoded = ()
+    try:
+        if report.consistent:
+            decoded = tuple(decode_results(report.states, codec, config.reverse))
+    except InputError:
+        verdict = Verdict.FAIL  # undecodable agreed states
+    else:
+        verdict = verify_against_classical(report, expected, codec, decoded=decoded)
     return ScenarioResult(
         scenario.name, tuple(sorted(expected)), pipeline.marked_count,
-        pipeline.iterations, report, verdict, decoded, pipeline.build.codec,
+        pipeline.iterations, report, verdict, decoded, codec,
     )
 
 
@@ -214,7 +212,7 @@ def _load_dataset(path: Path | None) -> list[str]:
         raise InputError("--data is required for this command")
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read dataset file: {exc}") from None
     strings = [line for line in text.splitlines() if line.strip()]
     if not strings:
@@ -225,7 +223,7 @@ def _load_dataset(path: Path | None) -> list[str]:
 def _load_codec(path: Path, dataset: Sequence[str]) -> AlphabetCodec:
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read codec file: {exc}") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"codec file is not valid JSON: {exc}") from None
@@ -413,17 +411,21 @@ def cmd_experiment(config: RunConfig) -> int:
         codec = _load_codec(config.codec, scenarios[0].dataset)
     rows: list[list[str]] = [list(EXPERIMENT_CSV_HEADER)]
     scenario_reports: dict[str, dict] = {}
+    ok = True
     for si, sc in enumerate(scenarios):
         result = run_scenario(sc, config, scenario_index=si, noisy=True, codec=codec)
+        ok = ok and result.verdict in (Verdict.PASS, Verdict.CONTROL_PASS)
         rows.extend(experiment_csv_rows(sc.name, result.report))
         scenario_reports[sc.name] = {
             "expected": list(result.expected),
             "marked_count": result.marked_count,
             "iterations": result.iterations,
             "verdict_vs_classical": result.verdict.value,
-            "report": report_to_json_dict(
-                result.report, result.codec, reverse=config.reverse
-            ),
+            # run_scenario already decoded the agreed states once; reuse them
+            "report": {
+                **report_to_json_dict(result.report),
+                "decoded": list(result.decoded),
+            },
         }
         state = (
             "consistent: " + ", ".join(result.report.states)
@@ -449,7 +451,7 @@ def cmd_experiment(config: RunConfig) -> int:
             "scenarios": scenario_reports,
         },
     )
-    return 0
+    return 0 if ok else 1
 
 
 # --- argument parsing -------------------------------------------------------------

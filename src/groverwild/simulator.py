@@ -35,6 +35,9 @@ __all__ = [
 ]
 
 MAX_QUBITS = 24
+# Amplitudes held at once by ``run_noisy``: 2^20 complex128 values (16 MiB),
+# so a chunk holds 2^20 / 2^n trajectories (at least one).
+_AMP_BUDGET = 1 << 20
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 Seed = int | Sequence[int] | np.random.SeedSequence
@@ -132,58 +135,56 @@ class Histogram:
             raise InputError('histogram JSON must be {"shots": int, "counts": {...}}') from None
 
 
-# --- gate kernels (in place, on arrays whose first n axes are the qubits) ------
+# --- gate kernels (in place, on arrays whose first axis has length 2^n) ----------
+#
+# Qubit q splits the first axis as (2^q, 2, 2^(n-q-1)); the q=0 and q=1 halves
+# are views along the middle axis. Trailing axes (trajectories, unitary
+# columns) ride along. Only the first axis is split, so the reshape is a view
+# whatever the strides: the Pauli kernels get column subsets in Fortran order.
 
-def _tensor(a: np.ndarray, n: int) -> np.ndarray:
-    return a.reshape((2,) * n + a.shape[1:])
+def _halves(a: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
+    t = a.reshape((1 << q, 2, -1) + a.shape[1:])
+    return t[:, 0], t[:, 1]
 
 
-def _axis_ix(n: int, q: int, v: int) -> tuple:
-    return tuple(v if i == q else slice(None) for i in range(n))
-
-
-def _apply_h(a: np.ndarray, n: int, q: int) -> None:
-    t = _tensor(a, n)
-    lo = t[_axis_ix(n, q, 0)]
-    hi = t[_axis_ix(n, q, 1)]
+def _apply_h(a: np.ndarray, q: int) -> None:
+    lo, hi = _halves(a, q)
     new_lo = (lo + hi) * _SQRT_HALF
-    new_hi = (lo - hi) * _SQRT_HALF
-    t[_axis_ix(n, q, 0)] = new_lo
-    t[_axis_ix(n, q, 1)] = new_hi
+    hi[...] = (lo - hi) * _SQRT_HALF
+    lo[...] = new_lo
 
 
-def _apply_x(a: np.ndarray, n: int, q: int) -> None:
-    t = _tensor(a, n)
-    lo = t[_axis_ix(n, q, 0)].copy()
-    t[_axis_ix(n, q, 0)] = t[_axis_ix(n, q, 1)]
-    t[_axis_ix(n, q, 1)] = lo
+def _apply_x(a: np.ndarray, q: int) -> None:
+    lo, hi = _halves(a, q)
+    old_lo = lo.copy()
+    lo[...] = hi
+    hi[...] = old_lo
 
 
-def _apply_y(a: np.ndarray, n: int, q: int) -> None:
-    t = _tensor(a, n)
-    lo = t[_axis_ix(n, q, 0)].copy()
-    t[_axis_ix(n, q, 0)] = -1j * t[_axis_ix(n, q, 1)]
-    t[_axis_ix(n, q, 1)] = 1j * lo
+def _apply_y(a: np.ndarray, q: int) -> None:
+    lo, hi = _halves(a, q)
+    old_lo = lo.copy()
+    lo[...] = -1j * hi
+    hi[...] = 1j * old_lo
 
 
-def _apply_z(a: np.ndarray, n: int, q: int) -> None:
-    t = _tensor(a, n)
-    t[_axis_ix(n, q, 1)] *= -1.0
+def _apply_z(a: np.ndarray, q: int) -> None:
+    _halves(a, q)[1][...] *= -1.0
 
 
 def _apply_mcz(a: np.ndarray, n: int, qubits: tuple[int, ...]) -> None:
-    t = _tensor(a, n)
+    t = a.reshape((2,) * n + a.shape[1:])
     qs = set(qubits)
     t[tuple(1 if i in qs else slice(None) for i in range(n))] *= -1.0
 
 
 def _apply_gate_kernel(a: np.ndarray, n: int, gate: Gate) -> None:
     if gate.kind == "h":
-        _apply_h(a, n, gate.qubits[0])
+        _apply_h(a, gate.qubits[0])
     elif gate.kind == "x":
-        _apply_x(a, n, gate.qubits[0])
+        _apply_x(a, gate.qubits[0])
     elif gate.kind == "z":
-        _apply_z(a, n, gate.qubits[0])
+        _apply_z(a, gate.qubits[0])
     elif gate.kind == "mcz":
         _apply_mcz(a, n, gate.qubits)
     else:
@@ -193,7 +194,25 @@ def _apply_gate_kernel(a: np.ndarray, n: int, gate: Gate) -> None:
 _PAULI_KERNELS = (_apply_x, _apply_y, _apply_z)
 
 
+def _apply_paulis(amps: np.ndarray, q: int, cols: np.ndarray, kinds: np.ndarray) -> None:
+    """On qubit q, apply X, Y or Z (``kinds`` 0, 1, 2) to trajectory columns ``cols``."""
+    for kind, kernel in enumerate(_PAULI_KERNELS):
+        picked = cols[kinds == kind]
+        if picked.size:
+            sub = amps[:, picked]
+            kernel(sub, q)
+            amps[:, picked] = sub
+
+
 # --- public operations ----------------------------------------------------------
+
+def _checked_qubits(circuit: Circuit) -> int:
+    """The circuit's qubit count, refused above ``MAX_QUBITS`` before any allocation."""
+    n = circuit.qubit_count
+    if n > MAX_QUBITS:
+        raise InputError(f"circuit has {n} qubits; the simulator supports at most {MAX_QUBITS}")
+    return n
+
 
 def init_state(qubit_count: int) -> Statevector:
     """|0...0> on ``qubit_count`` qubits."""
@@ -216,7 +235,7 @@ def apply_gate(state: Statevector, gate: Gate) -> Statevector:
 
 def simulate(circuit: Circuit, initial: Statevector | None = None) -> Statevector:
     """Run all gates noiselessly from |0..0> (or from ``initial``)."""
-    n = circuit.qubit_count
+    n = _checked_qubits(circuit)
     if initial is None:
         amps = np.zeros(1 << n, dtype=np.complex128)
         amps[0] = 1.0
@@ -261,44 +280,55 @@ def measure(state: Statevector, shots: int, seed: Seed) -> Histogram:
 
 
 def run_noisy(circuit: Circuit, noise: NoiseModel, shots: int, seed: Seed) -> Histogram:
-    """Monte Carlo trajectories: one statevector pass per shot.
+    """Monte Carlo trajectories, batched: one pass per chunk of shots.
 
-    After each gate, every touched qubit independently suffers X, Y or Z
-    (probability p/3 each; p is ``p1`` for single-qubit gates, ``p2`` for
-    MCZ; the global phase flip touches nothing). The sampled bit string then
-    has each bit flipped with probability ``readout``. Each trajectory uses
-    its own substream spawned from the master seed, so results are
-    deterministic per seed. An all-zero model short-circuits to the
-    noiseless path and is bit-exact with ``measure`` at the same seed.
+    Each column of a ``(2^n, chunk)`` amplitude array is one trajectory, and
+    every gate is applied once to all columns. After each gate, every touched
+    qubit of every trajectory independently suffers X, Y or Z (probability
+    p/3 each; p is ``p1`` for single-qubit gates, ``p2`` for MCZ; the global
+    phase flip touches nothing). Each trajectory's outcome is sampled from
+    its own Born distribution, then each bit is flipped with probability
+    ``readout``. Shots are chunked so that ``2^n * chunk`` stays within
+    ``_AMP_BUDGET`` amplitudes. All draws come from one generator seeded
+    with ``seed``, so results are deterministic per seed. An all-zero model
+    short-circuits to the noiseless path and is bit-exact with ``measure``
+    at the same seed.
     """
     if shots < 1:
         raise InputError(f"shots must be >= 1, got {shots}")
+    n = _checked_qubits(circuit)
     if noise.is_ideal:
         return measure(simulate(circuit), shots, seed)
-    n = circuit.qubit_count
     dim = 1 << n
-    master = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    counts: dict[str, int] = {}
-    for child in master.spawn(shots):
-        rng = np.random.default_rng(child)
-        amps = np.zeros(dim, dtype=np.complex128)
+    rng = np.random.default_rng(seed)
+    steps = [
+        (gate, noise.p1 if gate.kind in ("h", "x", "z") else noise.p2 if gate.kind == "mcz" else 0.0)
+        for gate in circuit.gates
+    ]
+    bit_weights = 1 << np.arange(n - 1, -1, -1)
+    counts = np.zeros(dim, dtype=np.int64)
+    chunk_max = max(1, _AMP_BUDGET >> n)
+    for start in range(0, shots, chunk_max):
+        chunk = min(chunk_max, shots - start)
+        amps = np.zeros((dim, chunk), dtype=np.complex128)
         amps[0] = 1.0
-        for gate in circuit.gates:
+        for gate, p in steps:
             _apply_gate_kernel(amps, n, gate)
-            p = noise.p1 if gate.kind in ("h", "x", "z") else noise.p2 if gate.kind == "mcz" else 0.0
             if p:
                 for q in gate.qubits:
-                    if rng.random() < p:
-                        _PAULI_KERNELS[rng.integers(3)](amps, n, q)
-        prob = np.abs(amps) ** 2
-        outcome = int(rng.choice(dim, p=prob / prob.sum()))
+                    hits = np.flatnonzero(rng.random(chunk) < p)
+                    if hits.size:
+                        _apply_paulis(amps, q, hits, rng.integers(3, size=hits.size))
+        cdf = np.cumsum(np.abs(amps) ** 2, axis=0)
+        u = rng.random(chunk) * cdf[-1]
+        outcomes = np.minimum((cdf < u).sum(axis=0), dim - 1)
         if noise.readout:
-            for b in range(n):
-                if rng.random() < noise.readout:
-                    outcome ^= 1 << (n - 1 - b)
-        key = format(outcome, f"0{n}b")
-        counts[key] = counts.get(key, 0) + 1
-    return Histogram(shots, dict(sorted(counts.items())))
+            flips = rng.random((chunk, n)) < noise.readout
+            outcomes ^= flips @ bit_weights
+        counts += np.bincount(outcomes, minlength=dim)
+    return Histogram(
+        shots, {format(i, f"0{n}b"): int(c) for i, c in enumerate(counts) if c}
+    )
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
@@ -306,7 +336,7 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
 
     Dense in both dimensions; intended for verification at small n.
     """
-    n = circuit.qubit_count
+    n = _checked_qubits(circuit)
     mat = np.eye(1 << n, dtype=np.complex128)
     for gate in circuit.gates:
         _apply_gate_kernel(mat, n, gate)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from groverwild import cli
 from groverwild.cli import main
 from groverwild.scenarios import DEMO_DATASET
 
@@ -50,6 +51,23 @@ class TestEncode:
 
     def test_missing_data_flag(self, tmp_path, capsys):
         assert run(["encode", "--out", tmp_path / "out"]) == 2
+
+    @pytest.mark.parametrize("command", ["encode", "search", "verify"])
+    def test_non_utf8_dataset_exit_2(self, command, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff\n")  # printf '\xff\n'
+        assert run([command, "--data", bad, "--term", "0*", "--out", tmp_path / "o"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read dataset file")
+        assert len(err.splitlines()) == 1
+
+    def test_non_utf8_codec_exit_2(self, demo_data, tmp_path, capsys):
+        bad = tmp_path / "codec.json"
+        bad.write_bytes(b"\xff\n")
+        assert run(["encode", "--data", demo_data, "--codec", bad, "--out", tmp_path / "o"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read codec file")
+        assert len(err.splitlines()) == 1
 
 
 class TestCompile:
@@ -189,6 +207,27 @@ class TestExperiment:
 
     def test_single_trial_exit_2(self, tmp_path, capsys):
         assert run(["experiment", "--trials", "1", "--out", tmp_path / "o"]) == 2
+
+    def test_corrupted_oracle_exit_1(self, tmp_path, capsys):
+        out_dir = tmp_path / "o"
+        assert run(["experiment", "--corrupt-oracle", "--shots", "128", "--trials", "2",
+                    "--out", out_dir]) == 1
+        assert "verdict FAIL" in capsys.readouterr().out
+        # the artifacts are still written, so the failure can be inspected
+        assert (out_dir / "experiment.json").exists()
+
+    def test_decodes_agreed_states_once(self, tmp_path, monkeypatch):
+        calls = []
+        real = cli.decode_results
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "decode_results", counting)
+        assert run(["experiment", "--shots", "128", "--trials", "2", "--out", tmp_path / "o"]) == 0
+        # one decode per consistent scenario (one-match, two-match), none for the control
+        assert len(calls) == 2
 
     def test_custom_noise_flag(self, tmp_path):
         assert (

@@ -297,3 +297,22 @@ class TestStatevectorValue:
     def test_circuit_unitary_identity(self):
         u = circuit_unitary(Circuit(2))
         assert np.array_equal(u, np.eye(4))
+
+
+class TestQubitCap:
+    """Circuits above MAX_QUBITS are refused before any 2^n allocation."""
+
+    CIRCUIT = Circuit(40, (Gate.h(39),))
+
+    def test_simulate_refuses(self):
+        with pytest.raises(InputError, match="at most"):
+            simulate(self.CIRCUIT)
+
+    @pytest.mark.parametrize("noise", [NoiseModel.ideal(), NoiseModel(p1=0.1)])
+    def test_run_noisy_refuses(self, noise):
+        with pytest.raises(InputError, match="at most"):
+            run_noisy(self.CIRCUIT, noise, 10, seed=0)
+
+    def test_circuit_unitary_refuses(self):
+        with pytest.raises(InputError, match="at most"):
+            circuit_unitary(self.CIRCUIT)
