@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -241,9 +242,10 @@ def _resolve_codec(config: RunConfig, dataset: Sequence[str]) -> AlphabetCodec:
 
 
 def _write_text(path: Path, text: str) -> None:
+    """Write ``text`` verbatim (no newline translation), replacing ``path`` atomically."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
+    tmp.write_text(text, encoding="utf-8", newline="")
     os.replace(tmp, path)
 
 
@@ -252,11 +254,9 @@ def _write_json(path: Path, obj) -> None:
 
 
 def _write_csv(path: Path, rows: list[list[str]]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh).writerows(rows)
-    os.replace(tmp, path)
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    _write_text(path, buf.getvalue())
 
 
 def _parse_terms(config: RunConfig) -> tuple[WildcardTerm, ...]:
@@ -378,17 +378,18 @@ def cmd_search(config: RunConfig) -> int:
     return 0
 
 
-def _scenarios_for(config: RunConfig, include_substring_demo: bool) -> list[Scenario]:
-    if config.data is not None:
-        return [_custom_scenario(config)]
-    return list(bundled_scenarios(include_substring_demo))
+def _scenarios_and_codec(
+    config: RunConfig, include_substring_demo: bool
+) -> tuple[list[Scenario], AlphabetCodec | None]:
+    """The custom scenario and its codec, or the bundled scenarios and None."""
+    if config.data is None:
+        return list(bundled_scenarios(include_substring_demo)), None
+    scenario = _custom_scenario(config)
+    return [scenario], _resolve_codec(config, scenario.dataset)
 
 
 def cmd_verify(config: RunConfig) -> int:
-    scenarios = _scenarios_for(config, include_substring_demo=True)
-    codec = None
-    if config.codec is not None and config.data is not None:
-        codec = _load_codec(config.codec, scenarios[0].dataset)
+    scenarios, codec = _scenarios_and_codec(config, include_substring_demo=True)
     ok = True
     for si, sc in enumerate(scenarios):
         result = run_scenario(sc, config, scenario_index=si, noisy=False, codec=codec)
@@ -405,10 +406,7 @@ def cmd_verify(config: RunConfig) -> int:
 def cmd_experiment(config: RunConfig) -> int:
     if config.trials < 2:
         raise InputError("consistency analysis needs at least 2 trials")
-    scenarios = _scenarios_for(config, include_substring_demo=False)
-    codec = None
-    if config.codec is not None and config.data is not None:
-        codec = _load_codec(config.codec, scenarios[0].dataset)
+    scenarios, codec = _scenarios_and_codec(config, include_substring_demo=False)
     rows: list[list[str]] = [list(EXPERIMENT_CSV_HEADER)]
     scenario_reports: dict[str, dict] = {}
     ok = True

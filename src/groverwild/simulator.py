@@ -1,5 +1,9 @@
 """Dense statevector engine with seeded sampling and trajectory noise.
 
+One gate engine, ``_evolve``, serves ``simulate``, ``run_noisy``,
+``circuit_unitary`` and ``apply_gate``: a state, a batch of trajectories and
+the basis columns of a unitary are all arrays whose first axis has length 2^n.
+
 Basis convention: amplitude index x carries qubit 0 (``x0``) in its most
 significant bit, matching truth-table row order, so the bit string for index
 x is simply its n-digit binary form. Measured bit strings are therefore in
@@ -38,6 +42,8 @@ MAX_QUBITS = 24
 # Amplitudes held at once by ``run_noisy``: 2^20 complex128 values (16 MiB),
 # so a chunk holds 2^20 / 2^n trajectories (at least one).
 _AMP_BUDGET = 1 << 20
+# ``circuit_unitary`` holds 4^n complex128 values: 256 MiB at 12 qubits.
+_MAX_UNITARY_QUBITS = 12
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 Seed = int | Sequence[int] | np.random.SeedSequence
@@ -147,70 +153,81 @@ def _halves(a: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
     return t[:, 0], t[:, 1]
 
 
-def _apply_h(a: np.ndarray, q: int) -> None:
-    lo, hi = _halves(a, q)
+def _apply_h(a: np.ndarray, n: int, qubits: tuple[int, ...]) -> None:
+    lo, hi = _halves(a, qubits[0])
     new_lo = (lo + hi) * _SQRT_HALF
     hi[...] = (lo - hi) * _SQRT_HALF
     lo[...] = new_lo
 
 
-def _apply_x(a: np.ndarray, q: int) -> None:
-    lo, hi = _halves(a, q)
+def _apply_x(a: np.ndarray, n: int, qubits: tuple[int, ...]) -> None:
+    lo, hi = _halves(a, qubits[0])
     old_lo = lo.copy()
     lo[...] = hi
     hi[...] = old_lo
 
 
-def _apply_y(a: np.ndarray, q: int) -> None:
-    lo, hi = _halves(a, q)
+def _apply_y(a: np.ndarray, n: int, qubits: tuple[int, ...]) -> None:
+    lo, hi = _halves(a, qubits[0])
     old_lo = lo.copy()
     lo[...] = -1j * hi
     hi[...] = 1j * old_lo
 
 
-def _apply_z(a: np.ndarray, q: int) -> None:
-    _halves(a, q)[1][...] *= -1.0
+def _apply_phase(a: np.ndarray, n: int, qubits: tuple[int, ...]) -> None:
+    """Negate where every bit in ``qubits`` (ascending) is 1: Z, MCZ, or gphase (none).
+
+    The first axis splits as (2^gap, 2, 2^gap, 2, ..., 2^rest)."""
+    shape, prev = [], -1
+    for q in qubits:
+        shape += [1 << (q - prev - 1), 2]
+        prev = q
+    t = a.reshape((*shape, 1 << (n - 1 - prev), *a.shape[1:]))
+    t[(slice(None), 1) * len(qubits)] *= -1.0
 
 
-def _apply_mcz(a: np.ndarray, n: int, qubits: tuple[int, ...]) -> None:
-    t = a.reshape((2,) * n + a.shape[1:])
-    qs = set(qubits)
-    t[tuple(1 if i in qs else slice(None) for i in range(n))] *= -1.0
+_KERNELS = {"h": _apply_h, "x": _apply_x, "z": _apply_phase, "mcz": _apply_phase,
+            "gphase": _apply_phase}
+_PAULI_KERNELS = (_apply_x, _apply_y, _apply_phase)
 
 
-def _apply_gate_kernel(a: np.ndarray, n: int, gate: Gate) -> None:
-    if gate.kind == "h":
-        _apply_h(a, gate.qubits[0])
-    elif gate.kind == "x":
-        _apply_x(a, gate.qubits[0])
-    elif gate.kind == "z":
-        _apply_z(a, gate.qubits[0])
-    elif gate.kind == "mcz":
-        _apply_mcz(a, n, gate.qubits)
-    else:
-        a *= -1.0
+def _evolve(amps: np.ndarray, n: int, gates: Sequence[Gate],
+            noise: NoiseModel | None = None, rng: np.random.Generator | None = None) -> None:
+    """Apply ``gates`` in place to ``amps``, whose first axis has length 2^n.
+
+    With ``noise``, each column is a trajectory and each gate is followed by
+    the Paulis ``run_noisy`` describes: per touched qubit, ``rng`` draws one
+    uniform per column, then one Pauli kind per hit column.
+    """
+    for gate in gates:
+        _KERNELS[gate.kind](amps, n, gate.qubits)
+        if noise is None:
+            continue
+        p = noise.p1 if len(gate.qubits) == 1 else noise.p2
+        if p:
+            for q in gate.qubits:
+                hits = np.flatnonzero(rng.random(amps.shape[1]) < p)
+                if hits.size:
+                    _apply_paulis(amps, n, q, hits, rng.integers(3, size=hits.size))
 
 
-_PAULI_KERNELS = (_apply_x, _apply_y, _apply_z)
-
-
-def _apply_paulis(amps: np.ndarray, q: int, cols: np.ndarray, kinds: np.ndarray) -> None:
+def _apply_paulis(amps: np.ndarray, n: int, q: int, cols: np.ndarray, kinds: np.ndarray) -> None:
     """On qubit q, apply X, Y or Z (``kinds`` 0, 1, 2) to trajectory columns ``cols``."""
     for kind, kernel in enumerate(_PAULI_KERNELS):
         picked = cols[kinds == kind]
         if picked.size:
             sub = amps[:, picked]
-            kernel(sub, q)
+            kernel(sub, n, (q,))
             amps[:, picked] = sub
 
 
 # --- public operations ----------------------------------------------------------
 
-def _checked_qubits(circuit: Circuit) -> int:
-    """The circuit's qubit count, refused above ``MAX_QUBITS`` before any allocation."""
+def _checked_qubits(circuit: Circuit, limit: int = MAX_QUBITS) -> int:
+    """The circuit's qubit count, refused above ``limit`` before any allocation."""
     n = circuit.qubit_count
-    if n > MAX_QUBITS:
-        raise InputError(f"circuit has {n} qubits; the simulator supports at most {MAX_QUBITS}")
+    if n > limit:
+        raise InputError(f"circuit has {n} qubits; at most {limit} are supported")
     return n
 
 
@@ -225,12 +242,7 @@ def init_state(qubit_count: int) -> Statevector:
 
 def apply_gate(state: Statevector, gate: Gate) -> Statevector:
     """Apply one gate, returning a new statevector."""
-    n = state.qubit_count
-    if gate.qubits and max(gate.qubits) >= n:
-        raise InputError(f"gate {gate.kind} on {gate.qubits} exceeds {n} qubits")
-    amps = state.amplitudes.copy()
-    _apply_gate_kernel(amps, n, gate)
-    return Statevector(n, amps)
+    return simulate(Circuit(state.qubit_count, (gate,)), initial=state)
 
 
 def simulate(circuit: Circuit, initial: Statevector | None = None) -> Statevector:
@@ -239,14 +251,11 @@ def simulate(circuit: Circuit, initial: Statevector | None = None) -> Statevecto
     if initial is None:
         amps = np.zeros(1 << n, dtype=np.complex128)
         amps[0] = 1.0
+    elif initial.qubit_count != n:
+        raise InputError(f"initial state has {initial.qubit_count} qubits, circuit has {n}")
     else:
-        if initial.qubit_count != n:
-            raise InputError(
-                f"initial state has {initial.qubit_count} qubits, circuit has {n}"
-            )
         amps = initial.amplitudes.copy()
-    for gate in circuit.gates:
-        _apply_gate_kernel(amps, n, gate)
+    _evolve(amps, n, circuit.gates)
     return Statevector(n, amps)
 
 
@@ -285,9 +294,9 @@ def run_noisy(circuit: Circuit, noise: NoiseModel, shots: int, seed: Seed) -> Hi
     Each column of a ``(2^n, chunk)`` amplitude array is one trajectory, and
     every gate is applied once to all columns. After each gate, every touched
     qubit of every trajectory independently suffers X, Y or Z (probability
-    p/3 each; p is ``p1`` for single-qubit gates, ``p2`` for MCZ; the global
-    phase flip touches nothing). Each trajectory's outcome is sampled from
-    its own Born distribution, then each bit is flipped with probability
+    p/3 each; p is ``p1`` after a one-qubit gate, ``p2`` after MCZ; the
+    global phase flip touches nothing). Each trajectory's outcome is sampled
+    from its own Born distribution, then each bit is flipped with probability
     ``readout``. Shots are chunked so that ``2^n * chunk`` stays within
     ``_AMP_BUDGET`` amplitudes. All draws come from one generator seeded
     with ``seed``, so results are deterministic per seed. An all-zero model
@@ -301,10 +310,6 @@ def run_noisy(circuit: Circuit, noise: NoiseModel, shots: int, seed: Seed) -> Hi
         return measure(simulate(circuit), shots, seed)
     dim = 1 << n
     rng = np.random.default_rng(seed)
-    steps = [
-        (gate, noise.p1 if gate.kind in ("h", "x", "z") else noise.p2 if gate.kind == "mcz" else 0.0)
-        for gate in circuit.gates
-    ]
     bit_weights = 1 << np.arange(n - 1, -1, -1)
     counts = np.zeros(dim, dtype=np.int64)
     chunk_max = max(1, _AMP_BUDGET >> n)
@@ -312,13 +317,7 @@ def run_noisy(circuit: Circuit, noise: NoiseModel, shots: int, seed: Seed) -> Hi
         chunk = min(chunk_max, shots - start)
         amps = np.zeros((dim, chunk), dtype=np.complex128)
         amps[0] = 1.0
-        for gate, p in steps:
-            _apply_gate_kernel(amps, n, gate)
-            if p:
-                for q in gate.qubits:
-                    hits = np.flatnonzero(rng.random(chunk) < p)
-                    if hits.size:
-                        _apply_paulis(amps, q, hits, rng.integers(3, size=hits.size))
+        _evolve(amps, n, circuit.gates, noise, rng)
         cdf = np.cumsum(np.abs(amps) ** 2, axis=0)
         u = rng.random(chunk) * cdf[-1]
         outcomes = np.minimum((cdf < u).sum(axis=0), dim - 1)
@@ -334,12 +333,12 @@ def run_noisy(circuit: Circuit, noise: NoiseModel, shots: int, seed: Seed) -> Hi
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
     """Full 2^n x 2^n matrix, built by evolving all basis columns at once.
 
-    Dense in both dimensions; intended for verification at small n.
+    Dense in both dimensions, so it is refused above 12 qubits (256 MiB)
+    before allocating; intended for verification at small n.
     """
-    n = _checked_qubits(circuit)
+    n = _checked_qubits(circuit, _MAX_UNITARY_QUBITS)
     mat = np.eye(1 << n, dtype=np.complex128)
-    for gate in circuit.gates:
-        _apply_gate_kernel(mat, n, gate)
+    _evolve(mat, n, circuit.gates)
     return mat
 
 

@@ -32,6 +32,9 @@ __all__ = [
 
 GATE_KINDS = ("h", "x", "z", "mcz", "gphase")
 _SINGLE_QUBIT = ("h", "x", "z")
+# Largest unrolled Grover circuit ``build_grover_circuit`` assembles, checked
+# before any gate is built: 2^25 gates, above the ~15.8 M of a 20-qubit search.
+_MAX_GROVER_GATES = 1 << 25
 
 
 @dataclass(frozen=True)
@@ -150,10 +153,19 @@ def iteration_count(qubit_count: int, marked_count: int) -> int:
 
 
 def build_grover_circuit(oracle: Circuit, iterations: int) -> Circuit:
-    """H layer, then ``iterations`` repetitions of (oracle, diffusion)."""
+    """H layer, then ``iterations`` repetitions of (oracle, diffusion).
+
+    Refused with ``InputError`` when the result would exceed 2^25 gates.
+    """
     if iterations < 0:
         raise InputError(f"iteration count must be >= 0, got {iterations}")
     n = oracle.qubit_count
+    total = n + iterations * (len(oracle.gates) + 4 * n + 2)
+    if total > _MAX_GROVER_GATES:
+        raise InputError(
+            f"{iterations} iterations would unroll {total} gates; at most {_MAX_GROVER_GATES}"
+            " are supported"
+        )
     gates: list[Gate] = [Gate.h(q) for q in range(n)]
     diffusion = build_diffusion(n)
     for _ in range(iterations):

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -239,6 +240,30 @@ class TestExperiment:
     def test_bad_noise_flag(self, tmp_path, capsys):
         assert run(["experiment", "--noise", "0.1,0.2", "--out", tmp_path / "o"]) == 2
 
+    def test_custom_data_with_codec_file(self, demo_data, tmp_path):
+        codec_file = tmp_path / "codec.json"
+        codec_file.write_text(
+            json.dumps({"width": 2, "code": {"0": "00", "1": "01"}}), encoding="utf-8"
+        )
+        out_dir = tmp_path / "o"
+        assert run(["experiment", "--data", demo_data, "--codec", codec_file, "--term", "01*",
+                    "--shots", "256", "--trials", "2", "--out", out_dir]) == 0
+        report = json.loads((out_dir / "experiment.json").read_text())
+        # the 2-bit codec makes n = 6, so m = 2 takes 4 rounds instead of 1
+        assert report["scenarios"]["custom"]["iterations"] == 4
+        assert report["scenarios"]["custom"]["verdict_vs_classical"] == "PASS"
+        assert (out_dir / "experiment.csv").read_bytes().startswith(
+            b"trial,scenario,top_states\r\n"
+        )
+
+    @pytest.mark.parametrize("command", ["verify", "experiment"])
+    def test_codec_file_missing_a_character_exit_2(self, command, demo_data, tmp_path, capsys):
+        codec_file = tmp_path / "codec.json"
+        codec_file.write_text(json.dumps({"width": 1, "code": {"0": "0"}}), encoding="utf-8")
+        assert run([command, "--data", demo_data, "--codec", codec_file, "--term", "01*",
+                    "--out", tmp_path / "o"]) == 2
+        assert "missing from codec file" in capsys.readouterr().err
+
 
 class TestDeterminismAndSeeds:
     def test_identical_config_identical_bytes(self, demo_data, tmp_path):
@@ -312,3 +337,15 @@ class TestUsage:
                  "--out", tmp_path / "o"])
             == 2
         )
+
+    def test_huge_iterations_refused_before_assembly(self, demo_data, tmp_path, capsys):
+        start = time.perf_counter()
+        rc = run(["search", "--data", demo_data, "--term", "01*",
+                  "--iterations", "1000000000000", "--out", tmp_path / "o"])
+        elapsed = time.perf_counter() - start
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "at most" in err
+        assert elapsed < 5.0
+        assert not (tmp_path / "o").exists()

@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groverwild.boolexpr import Const, TruthTable, truth_table
 from groverwild.errors import InputError
@@ -316,3 +318,40 @@ class TestQubitCap:
     def test_circuit_unitary_refuses(self):
         with pytest.raises(InputError, match="at most"):
             circuit_unitary(self.CIRCUIT)
+
+    def test_circuit_unitary_refuses_above_twelve_qubits(self):
+        # 13 qubits would need 1 GiB of complex128 for the dense 4^n matrix
+        with pytest.raises(InputError, match="at most"):
+            circuit_unitary(Circuit(13))
+
+
+@st.composite
+def random_circuits(draw):
+    """Circuits on 1..5 qubits drawing from all five gate kinds (MCZ needs n >= 2)."""
+    n = draw(st.integers(1, 5))
+    kinds = ["h", "x", "z", "gphase"] + (["mcz"] if n > 1 else [])
+    gates = []
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=40)):
+        if kind == "gphase":
+            gates.append(Gate.gphase())
+        elif kind == "mcz":
+            gates.append(Gate.mcz(draw(
+                st.lists(st.integers(0, n - 1), min_size=2, max_size=n, unique=True)
+            )))
+        else:
+            gates.append(Gate(kind, (draw(st.integers(0, n - 1)),)))
+    return Circuit(n, tuple(gates))
+
+
+class TestEntryPointsAgree:
+    """simulate, circuit_unitary and apply_gate run one engine: exact agreement."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(random_circuits())
+    def test_simulate_unitary_column_and_gate_chain(self, circuit):
+        amps = simulate(circuit).amplitudes
+        assert np.array_equal(amps, circuit_unitary(circuit)[:, 0])
+        state = init_state(circuit.qubit_count)
+        for gate in circuit.gates:
+            state = apply_gate(state, gate)
+        assert np.array_equal(amps, state.amplitudes)

@@ -137,6 +137,14 @@ class TestGroverAssembly:
         with pytest.raises(InputError):
             build_grover_circuit(Circuit(2), -1)
 
+    def test_gate_count_cap_refused_before_assembly(self):
+        oracle = synthesize_phase_oracle(random_table(random.Random(4), 3))
+        with pytest.raises(InputError, match="at most"):
+            build_grover_circuit(oracle, 10**12)
+        # an empty 20-qubit oracle unrolls 82 gates per round: 2^25 / 82 ~ 409 k rounds
+        with pytest.raises(InputError, match="at most"):
+            build_grover_circuit(Circuit(20), 410_000)
+
     def test_unitarity_of_random_grover_circuits(self):
         rng = random.Random(7)
         for n in (1, 2, 3, 4):
