@@ -55,6 +55,7 @@ from .simulator import (
     apply_diagonal_oracle,
     apply_gate,
     circuit_unitary,
+    grover_state,
     init_state,
     measure,
     probabilities,

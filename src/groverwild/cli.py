@@ -15,6 +15,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -44,16 +45,19 @@ from .errors import InputError
 from .scenarios import Scenario, bundled_scenarios
 from .simulator import (
     NoiseModel,
+    grover_state,
     measure,
     probabilities,
     run_noisy,
-    simulate,
+    simulate,  # noqa: F401  (unused here; bench/worker.py traces cli.simulate)
     statevector_to_json_list,
 )
 from .synthesis import (
     Circuit,
     build_grover_circuit,
-    circuit_to_json_dict,
+    check_grover_size,
+    circuit_to_json_dict,  # noqa: F401  (unused here; bench/worker.py traces it)
+    circuit_to_json_text,
     circuit_to_qasm,
     gate_stats,
     iteration_count,
@@ -107,14 +111,22 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class CompiledPipeline:
-    """Oracle expression, truth table and circuits for one scenario."""
+    """Oracle expression, truth table and circuits for one scenario.
+
+    The unrolled Grover circuit is built on first access to ``grover``, for
+    the paths that need gates (artifacts, noise); the noiseless paths run
+    ``grover_state`` on ``table`` and ``iterations`` instead.
+    """
 
     build: OracleBuild
     table: TruthTable
     marked_count: int
     iterations: int
     oracle: Circuit
-    grover: Circuit
+
+    @cached_property
+    def grover(self) -> Circuit:
+        return build_grover_circuit(self.oracle, self.iterations)
 
 
 def compile_pipeline(
@@ -124,7 +136,10 @@ def compile_pipeline(
     iterations_override: int | None = None,
     corrupt_oracle: bool = False,
 ) -> CompiledPipeline:
-    """Dataset + terms -> oracle expression -> truth table -> Grover circuit.
+    """Dataset + terms -> oracle expression -> truth table -> phase oracle.
+
+    The round count is checked against the unrolled-size cap here, so every
+    path refuses it before any work, whether or not it builds the gates.
 
     ``corrupt_oracle`` flips one truth-table row before synthesis; it exists
     so the verification failure path can be exercised end to end.
@@ -142,8 +157,8 @@ def compile_pipeline(
         else iteration_count(build.var_count, m)
     )
     oracle = synthesize_phase_oracle(table)
-    grover = build_grover_circuit(oracle, iters)
-    return CompiledPipeline(build, table, m, iters, oracle, grover)
+    check_grover_size(oracle, iters)
+    return CompiledPipeline(build, table, m, iters, oracle)
 
 
 @dataclass(frozen=True)
@@ -183,7 +198,7 @@ def run_scenario(
             for t in range(config.trials)
         ]
     else:
-        state = simulate(pipeline.grover)
+        state = grover_state(pipeline.table, pipeline.iterations)
         hists = [
             measure(state, config.shots, seed=[config.seed, scenario_index, t])
             for t in range(config.trials)
@@ -320,7 +335,7 @@ def cmd_compile(config: RunConfig) -> int:
             "control": pipeline.marked_count == 0,
         },
     )
-    _write_json(config.out / "circuit.json", circuit_to_json_dict(pipeline.grover))
+    _write_text(config.out / "circuit.json", circuit_to_json_text(pipeline.grover))
     _write_json(
         config.out / "gate_stats.json",
         {
@@ -340,7 +355,7 @@ def cmd_search(config: RunConfig) -> int:
     pipeline = compile_pipeline(
         dataset, _parse_terms(config), codec, config.iterations, config.corrupt_oracle
     )
-    state = simulate(pipeline.grover)
+    state = grover_state(pipeline.table, pipeline.iterations)
     probs = probabilities(state)
     n = pipeline.build.var_count
     matches = []

@@ -3,6 +3,9 @@
 One gate engine, ``_evolve``, serves ``simulate``, ``run_noisy``,
 ``circuit_unitary`` and ``apply_gate``: a state, a batch of trajectories and
 the basis columns of a unitary are all arrays whose first axis has length 2^n.
+Noiseless Grover search skips the gates: ``grover_state`` applies the
+oracle as its truth-table sign vector and the diffusion as the reflection
+about the mean, the two matrices the gate lists are proven to equal.
 
 Basis convention: amplitude index x carries qubit 0 (``x0``) in its most
 significant bit, matching truth-table row order, so the bit string for index
@@ -30,6 +33,7 @@ __all__ = [
     "init_state",
     "apply_gate",
     "simulate",
+    "grover_state",
     "apply_diagonal_oracle",
     "probabilities",
     "measure",
@@ -257,6 +261,27 @@ def simulate(circuit: Circuit, initial: Statevector | None = None) -> Statevecto
         amps = initial.amplitudes.copy()
     _evolve(amps, n, circuit.gates)
     return Statevector(n, amps)
+
+
+def grover_state(table: TruthTable, iterations: int) -> Statevector:
+    """The Grover state after ``iterations`` rounds, without a gate list.
+
+    Equal to ``simulate(build_grover_circuit(synthesize_phase_oracle(table),
+    iterations))``: the H layer gives the uniform vector, the phase oracle
+    is diag((-1)^f) and the diffusion is 2|s><s| - I, i.e. ``a -> 2·mean(a) - a``.
+    Every amplitude stays real, so rounds run in float64.
+    """
+    n = table.var_count
+    if n > MAX_QUBITS:
+        raise InputError(f"table has {n} variables; at most {MAX_QUBITS} qubits are supported")
+    if iterations < 0:
+        raise InputError(f"iteration count must be >= 0, got {iterations}")
+    signs = 1.0 - 2.0 * table.rows
+    amps = np.full(1 << n, 2.0 ** (-n / 2))
+    for _ in range(iterations):
+        amps *= signs
+        np.subtract(2.0 * amps.mean(), amps, out=amps)
+    return Statevector(n, amps.astype(np.complex128))
 
 
 def apply_diagonal_oracle(state: Statevector, table: TruthTable) -> Statevector:

@@ -23,17 +23,20 @@ __all__ = [
     "synthesize_phase_oracle",
     "build_diffusion",
     "iteration_count",
+    "check_grover_size",
     "build_grover_circuit",
     "gate_stats",
     "circuit_to_json_dict",
+    "circuit_to_json_text",
     "circuit_from_json_dict",
     "circuit_to_qasm",
 ]
 
 GATE_KINDS = ("h", "x", "z", "mcz", "gphase")
 _SINGLE_QUBIT = ("h", "x", "z")
-# Largest unrolled Grover circuit ``build_grover_circuit`` assembles, checked
-# before any gate is built: 2^25 gates, above the ~15.8 M of a 20-qubit search.
+# Largest unrolled Grover circuit a pipeline may describe, checked by
+# ``check_grover_size`` before any gate is built or any round is simulated:
+# 2^25 gates, above the ~15.8 M of a 20-qubit search.
 _MAX_GROVER_GATES = 1 << 25
 
 
@@ -152,11 +155,9 @@ def iteration_count(qubit_count: int, marked_count: int) -> int:
     return max(1, math.floor((math.pi / 4) * math.sqrt(dim / marked_count)))
 
 
-def build_grover_circuit(oracle: Circuit, iterations: int) -> Circuit:
-    """H layer, then ``iterations`` repetitions of (oracle, diffusion).
-
-    Refused with ``InputError`` when the result would exceed 2^25 gates.
-    """
+def check_grover_size(oracle: Circuit, iterations: int) -> None:
+    """Refuse a negative round count, or one whose unrolled Grover circuit
+    (``n + k·(oracle gates + 4n + 2)`` gates) would exceed 2^25 gates."""
     if iterations < 0:
         raise InputError(f"iteration count must be >= 0, got {iterations}")
     n = oracle.qubit_count
@@ -166,6 +167,15 @@ def build_grover_circuit(oracle: Circuit, iterations: int) -> Circuit:
             f"{iterations} iterations would unroll {total} gates; at most {_MAX_GROVER_GATES}"
             " are supported"
         )
+
+
+def build_grover_circuit(oracle: Circuit, iterations: int) -> Circuit:
+    """H layer, then ``iterations`` repetitions of (oracle, diffusion).
+
+    Refused with ``InputError`` by ``check_grover_size`` before assembly.
+    """
+    check_grover_size(oracle, iterations)
+    n = oracle.qubit_count
     gates: list[Gate] = [Gate.h(q) for q in range(n)]
     diffusion = build_diffusion(n)
     for _ in range(iterations):
@@ -214,6 +224,29 @@ def circuit_to_json_dict(circuit: Circuit) -> dict:
         else:
             gates.append({"g": g.kind, "q": list(g.qubits)})
     return {"qubits": circuit.qubit_count, "gates": gates}
+
+
+def _gate_json_text(gate: Gate) -> str:
+    """One gate entry of ``circuit_to_json_text``, at its nesting depth."""
+    if gate.kind == "gphase":
+        return '    {\n      "g": "gphase"\n    }'
+    qubits = ",\n".join(f"        {q}" for q in gate.qubits)
+    return f'    {{\n      "g": "{gate.kind}",\n      "q": [\n{qubits}\n      ]\n    }}'
+
+
+def circuit_to_json_text(circuit: Circuit) -> str:
+    """``json.dumps(circuit_to_json_dict(circuit), sort_keys=True, indent=2) + "\\n"``,
+    formatted directly: one text per distinct gate, no dict per gate, and a
+    single join, so the only large string built is the result."""
+    head = '{\n  "gates": '
+    tail = f',\n  "qubits": {circuit.qubit_count}\n}}\n'
+    if not circuit.gates:
+        return head + "[]" + tail
+    texts = {g: _gate_json_text(g) for g in set(circuit.gates)}
+    items = [texts[g] for g in circuit.gates]
+    items[0] = head + "[\n" + items[0]
+    items[-1] += "\n  ]" + tail
+    return ",\n".join(items)
 
 
 def circuit_from_json_dict(data: Mapping) -> Circuit:

@@ -349,3 +349,50 @@ class TestUsage:
         assert "at most" in err
         assert elapsed < 5.0
         assert not (tmp_path / "o").exists()
+
+
+class TestGateListOnlyWhereNeeded:
+    """Noiseless search and verify never unroll the Grover gate list."""
+
+    @staticmethod
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_grover_circuit called on a noiseless path")
+
+    def test_search_and_verify_skip_the_gate_list(self, demo_data, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "build_grover_circuit", self.refuse)
+        assert run(["search", "--data", demo_data, "--term", "01*", "--out", tmp_path / "o"]) == 0
+        assert run(["verify"]) == 0
+        assert run(["verify", "--data", demo_data, "--term", "0*"]) == 0
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["compile", "--data", "{data}", "--term", "01*"],
+            ["experiment", "--shots", "128", "--trials", "2"],
+        ],
+    )
+    def test_compile_and_experiment_build_it(self, args, demo_data, tmp_path, monkeypatch, capsys):
+        calls = []
+        real = cli.build_grover_circuit
+
+        def counting(*a, **kw):
+            calls.append(a)
+            return real(*a, **kw)
+
+        monkeypatch.setattr(cli, "build_grover_circuit", counting)
+        argv = [str(demo_data) if a == "{data}" else a for a in args]
+        assert run(argv + ["--out", tmp_path / "o"]) == 0
+        assert calls
+
+    @pytest.mark.parametrize("command", ["search", "verify", "compile"])
+    @pytest.mark.parametrize("iterations", ["-1", "1000000000000"])
+    def test_iteration_refusals_on_every_path(self, command, iterations, demo_data, tmp_path,
+                                              capsys):
+        start = time.perf_counter()
+        rc = run([command, "--data", demo_data, "--term", "01*", "--iterations", iterations,
+                  "--out", tmp_path / "o"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert time.perf_counter() - start < 5.0
+        assert not (tmp_path / "o").exists()

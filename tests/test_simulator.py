@@ -16,6 +16,7 @@ from groverwild.simulator import (
     apply_diagonal_oracle,
     apply_gate,
     circuit_unitary,
+    grover_state,
     init_state,
     measure,
     probabilities,
@@ -27,6 +28,7 @@ from groverwild.synthesis import (
     Circuit,
     Gate,
     build_grover_circuit,
+    iteration_count,
     synthesize_phase_oracle,
 )
 
@@ -355,3 +357,62 @@ class TestEntryPointsAgree:
         for gate in circuit.gates:
             state = apply_gate(state, gate)
         assert np.array_equal(amps, state.amplitudes)
+
+
+@st.composite
+def grover_tables(draw):
+    """Tables on 1..8 variables: no row marked, every row marked, or drawn rows."""
+    n = draw(st.integers(1, 8))
+    fill = draw(st.sampled_from(["none", "all", "drawn"]))
+    if fill == "drawn":
+        rows = draw(st.lists(st.integers(0, 1), min_size=1 << n, max_size=1 << n))
+    else:
+        rows = [int(fill == "all")] * (1 << n)
+    return TruthTable(n, np.array(rows, dtype=np.uint8))
+
+
+class TestGroverState:
+    """The diagonal path equals the unrolled gate engine and follows the law."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(grover_tables(), st.integers(0, 6))
+    def test_matches_gate_engine(self, table, k):
+        want = simulate(build_grover_circuit(synthesize_phase_oracle(table), k)).amplitudes
+        got = grover_state(table, k).amplitudes
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    @pytest.mark.parametrize("marked_all", [False, True])
+    def test_matches_gate_engine_at_m_zero_and_full(self, marked_all):
+        for n in range(1, 9):
+            table = marked_table(n, set(range(1 << n)) if marked_all else set())
+            oracle = synthesize_phase_oracle(table)
+            for k in range(7):
+                want = simulate(build_grover_circuit(oracle, k)).amplitudes
+                assert np.max(np.abs(grover_state(table, k).amplitudes - want)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [12, 13, 14])
+    def test_law_per_state(self, n):
+        rng = random.Random(500 + n)
+        dim = 1 << n
+        for m in (1, 3, 37, dim // 5):
+            marked = set(rng.sample(range(dim), m))
+            table = marked_table(n, marked)
+            for k in {0, 1, iteration_count(n, m)}:
+                probs = probabilities(grover_state(table, k))
+                mass = grover_mass(n, m, k)
+                want = np.full(dim, (1.0 - mass) / (dim - m))
+                want[sorted(marked)] = mass / m
+                assert np.max(np.abs(probs - want)) <= 1e-12
+
+    def test_refuses_above_max_qubits_before_allocating(self):
+        # TruthTable itself stops at 24 variables; a stand-in without rows
+        # shows that the refusal comes before the table is read.
+        class WideTable:
+            var_count = MAX_QUBITS + 1
+
+        with pytest.raises(InputError, match="at most"):
+            grover_state(WideTable(), 1)
+
+    def test_refuses_negative_iterations(self):
+        with pytest.raises(InputError, match=">= 0"):
+            grover_state(marked_table(2, {1}), -1)

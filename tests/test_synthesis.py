@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groverwild.boolexpr import And, Not, Or, TruthTable, Var, truth_table
 from groverwild.errors import InputError
@@ -14,6 +16,7 @@ from groverwild.synthesis import (
     build_grover_circuit,
     circuit_from_json_dict,
     circuit_to_json_dict,
+    circuit_to_json_text,
     circuit_to_qasm,
     gate_stats,
     iteration_count,
@@ -214,3 +217,52 @@ class TestSerialization:
         assert "opaque mcz3 q0,q1,q2;" in text
         assert "mcz3 q[0],q[1],q[2];" in text
         assert "// global phase flip" in text
+
+
+@st.composite
+def serializable_circuits(draw):
+    """Circuits on 1..14 qubits (two-digit indices included) over all five kinds."""
+    n = draw(st.integers(1, 14))
+    kinds = ["h", "x", "z", "gphase"] + (["mcz"] if n > 1 else [])
+    gates = []
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=30)):
+        if kind == "gphase":
+            gates.append(Gate.gphase())
+        elif kind == "mcz":
+            gates.append(Gate.mcz(draw(
+                st.lists(st.integers(0, n - 1), min_size=2, max_size=n, unique=True)
+            )))
+        else:
+            gates.append(Gate(kind, (draw(st.integers(0, n - 1)),)))
+    return Circuit(n, tuple(gates))
+
+
+class TestJsonText:
+    """circuit_to_json_text writes exactly the bytes of the dict route."""
+
+    @staticmethod
+    def via_dict(circuit: Circuit) -> str:
+        return json.dumps(circuit_to_json_dict(circuit), sort_keys=True, indent=2) + "\n"
+
+    @settings(max_examples=300, deadline=None)
+    @given(serializable_circuits())
+    def test_equals_dict_route(self, circuit):
+        assert circuit_to_json_text(circuit) == self.via_dict(circuit)
+
+    @pytest.mark.parametrize(
+        "circuit",
+        [
+            Circuit(1),
+            Circuit(3, (Gate.gphase(),)),
+            Circuit(12, (Gate.mcz(range(12)), Gate.h(11), Gate.gphase(), Gate.h(11))),
+        ],
+    )
+    def test_zero_gates_gphase_and_repeats(self, circuit):
+        assert circuit_to_json_text(circuit) == self.via_dict(circuit)
+
+    def test_grover_circuit(self):
+        oracle = synthesize_phase_oracle(random_table(random.Random(9), 5))
+        circuit = build_grover_circuit(oracle, 3)
+        text = circuit_to_json_text(circuit)
+        assert text == self.via_dict(circuit)
+        assert circuit_from_json_dict(json.loads(text)) == circuit
