@@ -38,6 +38,7 @@ __all__ = [
     "TruthTable",
     "truth_table",
     "AnfForm",
+    "anf_coefficients",
     "anf",
     "expand",
     "MAX_TABLE_VARS",
@@ -510,15 +511,25 @@ def _mobius_inplace(coeff: np.ndarray, n: int) -> None:
         cube[hi] ^= cube[lo]
 
 
+def anf_coefficients(table: TruthTable) -> np.ndarray:
+    """GF(2) Mobius transform of the truth table, as a 0/1 vector of 2^n entries.
+
+    Entry x is 1 exactly when the monomial of x's set bits (x0 as MSB) is in
+    the ANF, so the vector's Hamming weight is the monomial count.
+    """
+    coeff = table.rows.copy()
+    _mobius_inplace(coeff, table.var_count)
+    return coeff
+
+
 def anf(table: TruthTable) -> AnfForm:
-    """GF(2) Mobius transform of the truth table.
+    """The monomial set of ``anf_coefficients``.
 
     The result satisfies f(x) = XOR over monomials of AND of their variables;
     ``expand`` reconstructs the exact original table.
     """
     n = table.var_count
-    coeff = table.rows.copy()
-    _mobius_inplace(coeff, n)
+    coeff = anf_coefficients(table)
     monomials = []
     for x in np.nonzero(coeff)[0]:
         monomials.append(frozenset(i for i in range(n) if (int(x) >> (n - 1 - i)) & 1))

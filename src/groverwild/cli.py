@@ -45,12 +45,13 @@ from .errors import InputError
 from .scenarios import Scenario, bundled_scenarios
 from .simulator import (
     NoiseModel,
+    complexes_to_json_text,
+    floats_to_json_text,
     grover_state,
     measure,
     probabilities,
     run_noisy,
     simulate,  # noqa: F401  (unused here; bench/worker.py traces cli.simulate)
-    statevector_to_json_list,
 )
 from .synthesis import (
     Circuit,
@@ -61,6 +62,7 @@ from .synthesis import (
     circuit_to_qasm,
     gate_stats,
     iteration_count,
+    oracle_gate_count,
     synthesize_phase_oracle,
 )
 
@@ -113,16 +115,20 @@ class RunConfig:
 class CompiledPipeline:
     """Oracle expression, truth table and circuits for one scenario.
 
-    The unrolled Grover circuit is built on first access to ``grover``, for
-    the paths that need gates (artifacts, noise); the noiseless paths run
-    ``grover_state`` on ``table`` and ``iterations`` instead.
+    The phase oracle and the unrolled Grover circuit are built on first
+    access to ``oracle`` and ``grover``, for the paths that need gates
+    (artifacts, noise); the noiseless paths run ``grover_state`` on ``table``
+    and ``iterations`` instead.
     """
 
     build: OracleBuild
     table: TruthTable
     marked_count: int
     iterations: int
-    oracle: Circuit
+
+    @cached_property
+    def oracle(self) -> Circuit:
+        return synthesize_phase_oracle(self.table)
 
     @cached_property
     def grover(self) -> Circuit:
@@ -136,10 +142,11 @@ def compile_pipeline(
     iterations_override: int | None = None,
     corrupt_oracle: bool = False,
 ) -> CompiledPipeline:
-    """Dataset + terms -> oracle expression -> truth table -> phase oracle.
+    """Dataset + terms -> oracle expression -> truth table; gates come later.
 
-    The round count is checked against the unrolled-size cap here, so every
-    path refuses it before any work, whether or not it builds the gates.
+    The round count is checked against the unrolled-size cap here, from the
+    oracle's gate count (its ANF monomial count), so every path refuses it
+    before any work, whether or not it builds the gates.
 
     ``corrupt_oracle`` flips one truth-table row before synthesis; it exists
     so the verification failure path can be exercised end to end.
@@ -156,9 +163,8 @@ def compile_pipeline(
         if iterations_override is not None
         else iteration_count(build.var_count, m)
     )
-    oracle = synthesize_phase_oracle(table)
-    check_grover_size(oracle, iters)
-    return CompiledPipeline(build, table, m, iters, oracle)
+    check_grover_size(build.var_count, oracle_gate_count(table), iters)
+    return CompiledPipeline(build, table, m, iters)
 
 
 @dataclass(frozen=True)
@@ -388,8 +394,8 @@ def cmd_search(config: RunConfig) -> int:
             "uniform": not matches,
         },
     )
-    _write_json(config.out / "statevector.json", statevector_to_json_list(state))
-    _write_json(config.out / "probabilities.json", [float(p) for p in probs])
+    _write_text(config.out / "statevector.json", complexes_to_json_text(state.amplitudes))
+    _write_text(config.out / "probabilities.json", floats_to_json_text(probs))
     return 0
 
 

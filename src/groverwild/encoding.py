@@ -114,10 +114,6 @@ class AlphabetCodec:
                 )
         if len(set(code.values())) != len(code):
             raise InputError("duplicate bit codes: the code map must be injective")
-        if len(symbols) > (1 << self.width):
-            raise InputError(
-                f"{len(symbols)} symbols cannot fit in width {self.width}"
-            )
         object.__setattr__(self, "symbols", symbols)
         object.__setattr__(self, "code", code)
         object.__setattr__(self, "_by_bits", {bits: ch for ch, bits in code.items()})
@@ -142,7 +138,7 @@ class AlphabetCodec:
         try:
             width = int(data["width"])
             code = {str(k): str(v) for k, v in data["code"].items()}
-        except (KeyError, TypeError, AttributeError):
+        except (KeyError, TypeError, AttributeError, ValueError, OverflowError):
             raise InputError(
                 'codec JSON must be {"width": int, "code": {"<char>": "<bits>"}}'
             ) from None

@@ -40,12 +40,17 @@ __all__ = [
     "run_noisy",
     "circuit_unitary",
     "statevector_to_json_list",
+    "floats_to_json_text",
+    "complexes_to_json_text",
 ]
 
 MAX_QUBITS = 24
 # Amplitudes held at once by ``run_noisy``: 2^20 complex128 values (16 MiB),
 # so a chunk holds 2^20 / 2^n trajectories (at least one).
 _AMP_BUDGET = 1 << 20
+# ``grover_state`` runs at most 2^36 amplitude updates (rounds × 2^n), which
+# admits the default round count at every n up to ``MAX_QUBITS``.
+_MAX_GROVER_UPDATES = 1 << 36
 # ``circuit_unitary`` holds 4^n complex128 values: 256 MiB at 12 qubits.
 _MAX_UNITARY_QUBITS = 12
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -70,7 +75,10 @@ class Statevector:
             raise InputError(
                 f"expected {1 << self.qubit_count} amplitudes, got shape {amps.shape}"
             )
-        norm = float(np.linalg.norm(amps))
+        # einsum, not np.linalg.norm: a threaded BLAS dot leaves its helper
+        # threads spinning after it returns, taking a core from what runs next.
+        re, im = amps.real, amps.imag
+        norm = math.sqrt(np.einsum("i,i->", re, re) + np.einsum("i,i->", im, im))
         if abs(norm - 1.0) > 1e-10:
             raise InputError(f"statevector norm {norm} deviates from 1 by more than 1e-10")
         amps.flags.writeable = False
@@ -269,13 +277,20 @@ def grover_state(table: TruthTable, iterations: int) -> Statevector:
     Equal to ``simulate(build_grover_circuit(synthesize_phase_oracle(table),
     iterations))``: the H layer gives the uniform vector, the phase oracle
     is diag((-1)^f) and the diffusion is 2|s><s| - I, i.e. ``a -> 2·mean(a) - a``.
-    Every amplitude stays real, so rounds run in float64.
+    Every amplitude stays real, so rounds run in float64. Refused before
+    allocating when ``iterations · 2^n`` exceeds 2^36 amplitude updates.
     """
     n = table.var_count
     if n > MAX_QUBITS:
         raise InputError(f"table has {n} variables; at most {MAX_QUBITS} qubits are supported")
     if iterations < 0:
         raise InputError(f"iteration count must be >= 0, got {iterations}")
+    updates = int(iterations) << n
+    if updates > _MAX_GROVER_UPDATES:
+        raise InputError(
+            f"{iterations} iterations on {n} qubits would take {updates} amplitude updates;"
+            f" at most {_MAX_GROVER_UPDATES} are supported"
+        )
     signs = 1.0 - 2.0 * table.rows
     amps = np.full(1 << n, 2.0 ** (-n / 2))
     for _ in range(iterations):
@@ -370,3 +385,42 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
 def statevector_to_json_list(state: Statevector) -> list[list[float]]:
     """Amplitudes as [re, im] pairs, basis order."""
     return [[float(a.real), float(a.imag)] for a in state.amplitudes]
+
+
+def _distinct_texts(values: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """The JSON text of each distinct finite float64 value and, per value, its index.
+
+    Values are keyed by bit pattern, so ``-0.0`` and ``0.0`` stay distinct, and
+    each distinct one is formatted once by ``repr``, as ``json`` formats it.
+    """
+    keys, inverse = np.unique(
+        np.ascontiguousarray(values, dtype=np.float64).view(np.uint64), return_inverse=True
+    )
+    return [repr(x) for x in keys.view(np.float64).tolist()], inverse
+
+
+def floats_to_json_text(values: np.ndarray) -> str:
+    """``json.dumps([float(v) for v in values], indent=2) + "\\n"`` for finite
+    values, formatted directly: one text per distinct value and a single join."""
+    if not len(values):
+        return "[]\n"
+    texts, inverse = _distinct_texts(values)
+    return "[\n  " + ",\n  ".join([texts[i] for i in inverse.tolist()]) + "\n]\n"
+
+
+def complexes_to_json_text(values: np.ndarray) -> str:
+    """``json.dumps([[v.real, v.imag] for v in values], indent=2) + "\\n"`` (the
+    layout of ``statevector_to_json_list``) for finite values, formatted
+    directly: one text per distinct ``[re, im]`` pair and a single join."""
+    if not len(values):
+        return "[]\n"
+    values = np.asarray(values, dtype=np.complex128)
+    texts, inverse = _distinct_texts(np.concatenate([values.real, values.imag]))
+    # One integer key per pair: (re index, im index) in base len(texts).
+    base = len(texts)
+    pairs, pair_inverse = np.unique(inverse[: len(values)] * base + inverse[len(values):],
+                                    return_inverse=True)
+    pair_texts = [
+        f"  [\n    {texts[p // base]},\n    {texts[p % base]}\n  ]" for p in pairs.tolist()
+    ]
+    return "[\n" + ",\n".join([pair_texts[i] for i in pair_inverse.tolist()]) + "\n]\n"

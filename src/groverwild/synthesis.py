@@ -13,7 +13,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .boolexpr import TruthTable, anf
+import numpy as np
+
+from .boolexpr import TruthTable, anf, anf_coefficients
 from .errors import InputError
 
 __all__ = [
@@ -21,6 +23,7 @@ __all__ = [
     "Circuit",
     "GateStats",
     "synthesize_phase_oracle",
+    "oracle_gate_count",
     "build_diffusion",
     "iteration_count",
     "check_grover_size",
@@ -125,6 +128,12 @@ def synthesize_phase_oracle(table: TruthTable) -> Circuit:
     return Circuit(table.var_count, tuple(gates))
 
 
+def oracle_gate_count(table: TruthTable) -> int:
+    """``len(synthesize_phase_oracle(table).gates)`` without building a gate:
+    one gate per ANF monomial, the Hamming weight of the Mobius transform."""
+    return int(np.count_nonzero(anf_coefficients(table)))
+
+
 def build_diffusion(qubit_count: int) -> Circuit:
     """The reflection 2|s><s| - I as gates, exact including global phase."""
     n = qubit_count
@@ -155,13 +164,13 @@ def iteration_count(qubit_count: int, marked_count: int) -> int:
     return max(1, math.floor((math.pi / 4) * math.sqrt(dim / marked_count)))
 
 
-def check_grover_size(oracle: Circuit, iterations: int) -> None:
+def check_grover_size(qubits: int, oracle_gates: int, iterations: int) -> None:
     """Refuse a negative round count, or one whose unrolled Grover circuit
-    (``n + k·(oracle gates + 4n + 2)`` gates) would exceed 2^25 gates."""
+    (``n + k·(M + 4n + 2)`` gates for n ``qubits``, M ``oracle_gates`` and k
+    ``iterations``) would exceed 2^25 gates."""
     if iterations < 0:
         raise InputError(f"iteration count must be >= 0, got {iterations}")
-    n = oracle.qubit_count
-    total = n + iterations * (len(oracle.gates) + 4 * n + 2)
+    total = qubits + iterations * (oracle_gates + 4 * qubits + 2)
     if total > _MAX_GROVER_GATES:
         raise InputError(
             f"{iterations} iterations would unroll {total} gates; at most {_MAX_GROVER_GATES}"
@@ -174,7 +183,7 @@ def build_grover_circuit(oracle: Circuit, iterations: int) -> Circuit:
 
     Refused with ``InputError`` by ``check_grover_size`` before assembly.
     """
-    check_grover_size(oracle, iterations)
+    check_grover_size(oracle.qubit_count, len(oracle.gates), iterations)
     n = oracle.qubit_count
     gates: list[Gate] = [Gate.h(q) for q in range(n)]
     diffusion = build_diffusion(n)

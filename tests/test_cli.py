@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from groverwild import cli
+from groverwild import cli, synthesis
 from groverwild.cli import main
 from groverwild.scenarios import DEMO_DATASET
 
@@ -396,3 +396,55 @@ class TestGateListOnlyWhereNeeded:
         assert err.startswith("error:") and err.count("\n") == 1
         assert time.perf_counter() - start < 5.0
         assert not (tmp_path / "o").exists()
+
+    def test_search_and_verify_skip_oracle_synthesis(self, demo_data, tmp_path, monkeypatch,
+                                                     capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("oracle synthesized on a noiseless path")
+
+        monkeypatch.setattr(cli, "synthesize_phase_oracle", refuse)
+        monkeypatch.setattr(synthesis, "anf", refuse)
+        assert run(["search", "--data", demo_data, "--term", "01*", "--out", tmp_path / "o"]) == 0
+        assert run(["verify"]) == 0
+        assert run(["verify", "--data", demo_data, "--term", "0*"]) == 0
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["compile", "--data", "{data}", "--term", "01*"],
+            ["experiment", "--shots", "128", "--trials", "2"],
+        ],
+    )
+    def test_compile_and_experiment_synthesize_the_oracle(self, args, demo_data, tmp_path,
+                                                          monkeypatch, capsys):
+        calls = []
+        real = cli.synthesize_phase_oracle
+
+        def counting(*a, **kw):
+            calls.append(a)
+            return real(*a, **kw)
+
+        monkeypatch.setattr(cli, "synthesize_phase_oracle", counting)
+        argv = [str(demo_data) if a == "{data}" else a for a in args]
+        assert run(argv + ["--out", tmp_path / "o"]) == 0
+        assert calls
+
+    @pytest.mark.parametrize("command", ["search", "verify", "compile"])
+    @pytest.mark.parametrize(
+        "iterations, line",
+        [
+            pytest.param("-1", "error: iteration count must be >= 0, got -1\n", id="negative"),
+            pytest.param(
+                "1000000000000",
+                "error: 1000000000000 iterations would unroll 16000000000003 gates;"
+                " at most 33554432 are supported\n",
+                id="huge",
+            ),
+        ],
+    )
+    def test_iteration_refusal_lines(self, command, iterations, line, demo_data, tmp_path,
+                                     capsys):
+        rc = run([command, "--data", demo_data, "--term", "01*", "--iterations", iterations,
+                  "--out", tmp_path / "o"])
+        assert rc == 2
+        assert capsys.readouterr().err == line

@@ -1,5 +1,7 @@
+import json
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from groverwild.boolexpr import Const, TruthTable, truth_table
 from groverwild.errors import InputError
 from groverwild.simulator import (
+    _MAX_GROVER_UPDATES,
     MAX_QUBITS,
     Histogram,
     NoiseModel,
@@ -16,6 +19,8 @@ from groverwild.simulator import (
     apply_diagonal_oracle,
     apply_gate,
     circuit_unitary,
+    complexes_to_json_text,
+    floats_to_json_text,
     grover_state,
     init_state,
     measure,
@@ -416,3 +421,72 @@ class TestGroverState:
     def test_refuses_negative_iterations(self):
         with pytest.raises(InputError, match=">= 0"):
             grover_state(marked_table(2, {1}), -1)
+
+
+class TestGroverStateBudget:
+    """``grover_state`` bounds its own work, not only through the CLI."""
+
+    def test_refuses_too_many_updates_before_allocating(self):
+        table = marked_table(20, {5})
+        start = time.perf_counter()
+        for k in (1 << 17, (_MAX_GROVER_UPDATES >> 20) + 1):
+            with pytest.raises(InputError, match="amplitude updates"):
+                grover_state(table, k)
+        assert time.perf_counter() - start < 1.0
+
+    def test_budget_admits_the_default_round_count_at_max_qubits(self):
+        # checked without running: 3216 rounds on 2^24 amplitudes
+        assert iteration_count(MAX_QUBITS, 1) << MAX_QUBITS <= _MAX_GROVER_UPDATES
+
+
+# Finite float64 values, with the edge cases drawn often: signed zeros, the
+# smallest subnormal, 1.0 and values near the top of the range.
+_EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                                1e-310, 1.0, -1.0, 0.5, 1e308, -1.7976931348623157e308])
+_FLOATS = st.one_of(_EDGE_FLOATS, st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def float_arrays(draw):
+    """Float64 arrays, half of them drawn from a small pool so values repeat."""
+    values = _FLOATS
+    if draw(st.booleans()):
+        values = st.sampled_from(draw(st.lists(_FLOATS, min_size=1, max_size=6)))
+    return np.array(draw(st.lists(values, max_size=40)), dtype=np.float64)
+
+
+class TestJsonText:
+    """The direct formatters write exactly the bytes ``json.dumps`` writes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(float_arrays())
+    def test_floats_match_json_dumps(self, values):
+        want = json.dumps([float(v) for v in values], sort_keys=True, indent=2) + "\n"
+        assert floats_to_json_text(values) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(float_arrays(), float_arrays())
+    def test_complexes_match_json_dumps(self, re, im):
+        size = min(len(re), len(im))
+        values = np.empty(size, dtype=np.complex128)
+        values.real, values.imag = re[:size], im[:size]
+        want = json.dumps([[float(v.real), float(v.imag)] for v in values],
+                          sort_keys=True, indent=2) + "\n"
+        assert complexes_to_json_text(values) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(grover_tables(), st.integers(0, 6))
+    def test_grover_states_match_the_json_list(self, table, k):
+        state = grover_state(table, k)
+        probs = probabilities(state)
+        assert complexes_to_json_text(state.amplitudes) == (
+            json.dumps(statevector_to_json_list(state), sort_keys=True, indent=2) + "\n"
+        )
+        assert floats_to_json_text(probs) == (
+            json.dumps([float(p) for p in probs], sort_keys=True, indent=2) + "\n"
+        )
+
+    def test_signed_zeros_stay_distinct(self):
+        text = complexes_to_json_text(np.array([complex(0.0, -0.0), complex(-0.0, 0.0)]))
+        assert text == "[\n  [\n    0.0,\n    -0.0\n  ],\n  [\n    -0.0,\n    0.0\n  ]\n]\n"
+        assert floats_to_json_text(np.array([-0.0, 0.0])) == "[\n  -0.0,\n  0.0\n]\n"

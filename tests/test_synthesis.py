@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groverwild.boolexpr import And, Not, Or, TruthTable, Var, truth_table
+from groverwild.boolexpr import And, Not, Or, TruthTable, Var, anf, truth_table
 from groverwild.errors import InputError
 from groverwild.simulator import circuit_unitary
 from groverwild.synthesis import (
@@ -17,9 +17,11 @@ from groverwild.synthesis import (
     circuit_from_json_dict,
     circuit_to_json_dict,
     circuit_to_json_text,
+    check_grover_size,
     circuit_to_qasm,
     gate_stats,
     iteration_count,
+    oracle_gate_count,
     synthesize_phase_oracle,
 )
 
@@ -266,3 +268,32 @@ class TestJsonText:
         text = circuit_to_json_text(circuit)
         assert text == self.via_dict(circuit)
         assert circuit_from_json_dict(json.loads(text)) == circuit
+
+
+@st.composite
+def sized_tables(draw):
+    """Tables on 1..10 variables, from nearly empty to nearly full."""
+    n = draw(st.integers(1, 10))
+    density = draw(st.sampled_from([0.0, 0.01, 0.3, 0.5, 0.9, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return TruthTable(n, (rng.random(1 << n) < density).astype(np.uint8))
+
+
+class TestOracleGateCount:
+    """The Mobius weight is the oracle's size, without building the oracle."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(sized_tables())
+    def test_equals_monomials_and_gates(self, table):
+        count = oracle_gate_count(table)
+        assert count == len(anf(table).monomials)
+        assert count == len(synthesize_phase_oracle(table).gates)
+
+    def test_size_check_formula(self):
+        # n + k·(M + 4n + 2) gates: 3 + 1·(2 + 14) = 19 for this oracle
+        oracle = Circuit(3, (Gate.z(0), Gate.mcz([1, 2])))
+        assert len(build_grover_circuit(oracle, 1).gates) == 19
+        check_grover_size(20, 0, (1 << 25) // 82)  # 20 + k·82 <= 2^25
+        message = "^409201 iterations would unroll 33554502 gates; at most 33554432 are supported$"
+        with pytest.raises(InputError, match=message):
+            check_grover_size(20, 0, (1 << 25) // 82 + 1)
