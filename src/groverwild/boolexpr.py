@@ -453,21 +453,22 @@ def _var_bits(n: int, index: int) -> int:
     return pattern
 
 
-def _table_bits(expr: BoolExpr, n: int) -> int:
-    mask = (1 << (1 << n)) - 1
+def _table_bits(expr: BoolExpr, var_bits: list[int], mask: int) -> int:
+    """The 2^n-bit table of ``expr``; ``var_bits[i]`` is ``_var_bits(n, i)`` and
+    ``mask`` has all 2^n bits set, both built once per table."""
     match expr:
         case Var(index=i):
-            return _var_bits(n, i)
+            return var_bits[i]
         case Const(value=v):
             return mask * v
         case Not(child=c):
-            return mask & ~_table_bits(c, n)
+            return mask & ~_table_bits(c, var_bits, mask)
         case And(children=ch):
-            return reduce(lambda a, b: a & b, (_table_bits(c, n) for c in ch))
+            return reduce(lambda a, b: a & b, (_table_bits(c, var_bits, mask) for c in ch))
         case Or(children=ch):
-            return reduce(lambda a, b: a | b, (_table_bits(c, n) for c in ch))
+            return reduce(lambda a, b: a | b, (_table_bits(c, var_bits, mask) for c in ch))
         case Xor(children=ch):
-            return reduce(lambda a, b: a ^ b, (_table_bits(c, n) for c in ch))
+            return reduce(lambda a, b: a ^ b, (_table_bits(c, var_bits, mask) for c in ch))
     raise InputError(f"not a BoolExpr node: {expr!r}")
 
 
@@ -478,7 +479,8 @@ def truth_table(expr: BoolExpr, var_count: int) -> TruthTable:
     hi = max_var_index(expr)
     if hi is not None and hi >= var_count:
         raise InputError(f"expression uses x{hi} but only {var_count} variables declared")
-    bits = _table_bits(expr, var_count)
+    var_bits = [_var_bits(var_count, i) for i in range(var_count)]
+    bits = _table_bits(expr, var_bits, (1 << (1 << var_count)) - 1)
     nrows = 1 << var_count
     raw = bits.to_bytes((nrows + 7) // 8, "little")
     rows = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")[:nrows]

@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .analysis import (
     EXPERIMENT_CSV_HEADER,
@@ -55,12 +55,14 @@ from .simulator import (
 )
 from .synthesis import (
     Circuit,
-    build_grover_circuit,
+    build_grover_circuit,  # noqa: F401  (unused here; bench/worker.py traces it)
     check_grover_size,
+    circuit_to_json_chunks,
     circuit_to_json_dict,  # noqa: F401  (unused here; bench/worker.py traces it)
-    circuit_to_json_text,
-    circuit_to_qasm,
+    circuit_to_qasm,  # noqa: F401  (unused here; bench/worker.py traces it)
+    circuit_to_qasm_chunks,
     gate_stats,
+    grover_blocks,
     iteration_count,
     oracle_gate_count,
     synthesize_phase_oracle,
@@ -83,6 +85,10 @@ DEFAULT_NOISE = NoiseModel(p1=0.001, p2=0.01, readout=0.02)
 DEFAULT_SHOTS = 1024
 DEFAULT_TRIALS = 6
 DEFAULT_SEED = 7
+# Amplitude updates one noisy scenario may take (trials × shots × 2^n × gates),
+# the budget ``grover_state`` has: it admits every bundled scenario and a
+# 10-qubit search of about 2.6e10 updates.
+_MAX_NOISY_UPDATES = 1 << 36
 
 
 @dataclass
@@ -113,26 +119,24 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class CompiledPipeline:
-    """Oracle expression, truth table and circuits for one scenario.
+    """Oracle expression, truth table and Grover sizes for one scenario.
 
-    The phase oracle and the unrolled Grover circuit are built on first
-    access to ``oracle`` and ``grover``, for the paths that need gates
-    (artifacts, noise); the noiseless paths run ``grover_state`` on ``table``
-    and ``iterations`` instead.
+    The phase oracle is built on first access to ``oracle``, for the paths
+    that need gates (artifacts, noise), which run it as the blocks of
+    ``grover_blocks``; the noiseless paths run ``grover_state`` on ``table``
+    and ``iterations`` instead. ``gate_count`` is the unrolled Grover
+    circuit's gate count.
     """
 
     build: OracleBuild
     table: TruthTable
     marked_count: int
     iterations: int
+    gate_count: int
 
     @cached_property
     def oracle(self) -> Circuit:
         return synthesize_phase_oracle(self.table)
-
-    @cached_property
-    def grover(self) -> Circuit:
-        return build_grover_circuit(self.oracle, self.iterations)
 
 
 def compile_pipeline(
@@ -163,8 +167,8 @@ def compile_pipeline(
         if iterations_override is not None
         else iteration_count(build.var_count, m)
     )
-    check_grover_size(build.var_count, oracle_gate_count(table), iters)
-    return CompiledPipeline(build, table, m, iters)
+    gates = check_grover_size(build.var_count, oracle_gate_count(table), iters)
+    return CompiledPipeline(build, table, m, iters, gates)
 
 
 @dataclass(frozen=True)
@@ -186,7 +190,11 @@ def run_scenario(
     noisy: bool = True,
     codec: AlphabetCodec | None = None,
 ) -> ScenarioResult:
-    """Run all trials of one scenario and judge them against the classical matcher."""
+    """Run all trials of one scenario and judge them against the classical matcher.
+
+    A noisy run is refused before any gate is built when its trials × shots ×
+    2^n × gates amplitude updates exceed 2^36.
+    """
     terms = scenario.terms()
     pipeline = compile_pipeline(
         scenario.dataset, terms, codec, config.iterations, config.corrupt_oracle
@@ -194,13 +202,17 @@ def run_scenario(
     expected = classical_match(scenario.dataset, terms)
     k = max(1, len(expected))
     if noisy:
-        hists = [
-            run_noisy(
-                pipeline.grover,
-                config.noise,
-                config.shots,
-                seed=[config.seed, scenario_index, t],
+        n = pipeline.build.var_count
+        updates = config.trials * config.shots * (pipeline.gate_count << n)
+        if updates > _MAX_NOISY_UPDATES:
+            raise InputError(
+                f"{config.trials} noisy trials of {config.shots} shots over {pipeline.gate_count}"
+                f" gates on {n} qubits would take {updates} amplitude updates;"
+                f" at most {_MAX_NOISY_UPDATES} are supported"
             )
+        circuit = grover_blocks(pipeline.oracle, pipeline.iterations)
+        hists = [
+            run_noisy(circuit, config.noise, config.shots, seed=[config.seed, scenario_index, t])
             for t in range(config.trials)
         ]
     else:
@@ -262,12 +274,18 @@ def _resolve_codec(config: RunConfig, dataset: Sequence[str]) -> AlphabetCodec:
     return build_codec(dataset)
 
 
-def _write_text(path: Path, text: str) -> None:
-    """Write ``text`` verbatim (no newline translation), replacing ``path`` atomically."""
+def _write_chunks(path: Path, chunks: Iterable[str]) -> None:
+    """Write ``chunks`` in order, verbatim (no newline translation), replacing
+    ``path`` atomically; the whole text is never joined."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text, encoding="utf-8", newline="")
+    with open(tmp, "w", encoding="utf-8", newline="") as f:
+        f.writelines(chunks)
     os.replace(tmp, path)
+
+
+def _write_text(path: Path, text: str) -> None:
+    _write_chunks(path, (text,))
 
 
 def _write_json(path: Path, obj) -> None:
@@ -321,11 +339,12 @@ def cmd_compile(config: RunConfig) -> int:
     pipeline = compile_pipeline(
         dataset, _parse_terms(config), codec, config.iterations, config.corrupt_oracle
     )
-    stats = gate_stats(pipeline.grover)
+    circuit = grover_blocks(pipeline.oracle, pipeline.iterations)
+    stats = gate_stats(circuit)
     print(f"qubits: {pipeline.build.var_count}")
     print(f"marked states (m): {pipeline.marked_count}")
     print(f"iterations: {pipeline.iterations}")
-    print(f"gates: {len(pipeline.grover.gates)} (depth {stats.depth})")
+    print(f"gates: {sum(stats.counts.values())} (depth {stats.depth})")
     if pipeline.marked_count == 0:
         print(
             "warning: no loaded string matches the search terms;"
@@ -341,7 +360,7 @@ def cmd_compile(config: RunConfig) -> int:
             "control": pipeline.marked_count == 0,
         },
     )
-    _write_text(config.out / "circuit.json", circuit_to_json_text(pipeline.grover))
+    _write_chunks(config.out / "circuit.json", circuit_to_json_chunks(circuit))
     _write_json(
         config.out / "gate_stats.json",
         {
@@ -351,7 +370,7 @@ def cmd_compile(config: RunConfig) -> int:
         },
     )
     if config.emit_qasm:
-        _write_text(config.out / "circuit.qasm", circuit_to_qasm(pipeline.grover))
+        _write_chunks(config.out / "circuit.qasm", circuit_to_qasm_chunks(circuit))
     return 0
 
 
@@ -496,8 +515,16 @@ def _parse_noise(text: str) -> NoiseModel:
     return NoiseModel(p1=p1, p2=p2, readout=readout)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ``InputError``, so they exit 2 with one ``error:``
+    line like any other bad input; subparsers inherit the class."""
+
+    def error(self, message: str):
+        raise InputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="groverwild",
         description=(
             "Compile wildcard string searches into Grover phase-oracle circuits,"
@@ -556,18 +583,12 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args = build_parser().parse_args(argv)
+        return args.func(_config_from_args(args))
+    except SystemExit as exc:  # --help, after printing its text
         return int(exc.code) if exc.code is not None else 0
-    try:
-        config = _config_from_args(args)
-        return args.func(config)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

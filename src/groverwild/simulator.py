@@ -3,6 +3,9 @@
 One gate engine, ``_evolve``, serves ``simulate``, ``run_noisy``,
 ``circuit_unitary`` and ``apply_gate``: a state, a batch of trajectories and
 the basis columns of a unitary are all arrays whose first axis has length 2^n.
+Each takes a ``Circuit`` or a ``BlockCircuit`` and walks its blocks in order,
+so a Grover circuit is run from its oracle and diffusion blocks, never from
+an unrolled gate list.
 Noiseless Grover search skips the gates: ``grover_state`` applies the
 oracle as its truth-table sign vector and the diffusion as the reflection
 about the mean, the two matrices the gate lists are proven to equal.
@@ -23,7 +26,7 @@ import numpy as np
 
 from .boolexpr import TruthTable
 from .errors import InputError
-from .synthesis import Circuit, Gate
+from .synthesis import BlockCircuit, Circuit, Gate
 
 __all__ = [
     "MAX_QUBITS",
@@ -203,24 +206,26 @@ _KERNELS = {"h": _apply_h, "x": _apply_x, "z": _apply_phase, "mcz": _apply_phase
 _PAULI_KERNELS = (_apply_x, _apply_y, _apply_phase)
 
 
-def _evolve(amps: np.ndarray, n: int, gates: Sequence[Gate],
+def _evolve(amps: np.ndarray, n: int, blocks: Sequence[Circuit],
             noise: NoiseModel | None = None, rng: np.random.Generator | None = None) -> None:
-    """Apply ``gates`` in place to ``amps``, whose first axis has length 2^n.
+    """Apply the gates of ``blocks``, in order, in place to ``amps``, whose
+    first axis has length 2^n.
 
     With ``noise``, each column is a trajectory and each gate is followed by
     the Paulis ``run_noisy`` describes: per touched qubit, ``rng`` draws one
     uniform per column, then one Pauli kind per hit column.
     """
-    for gate in gates:
-        _KERNELS[gate.kind](amps, n, gate.qubits)
-        if noise is None:
-            continue
-        p = noise.p1 if len(gate.qubits) == 1 else noise.p2
-        if p:
-            for q in gate.qubits:
-                hits = np.flatnonzero(rng.random(amps.shape[1]) < p)
-                if hits.size:
-                    _apply_paulis(amps, n, q, hits, rng.integers(3, size=hits.size))
+    for block in blocks:
+        for gate in block.gates:
+            _KERNELS[gate.kind](amps, n, gate.qubits)
+            if noise is None:
+                continue
+            p = noise.p1 if len(gate.qubits) == 1 else noise.p2
+            if p:
+                for q in gate.qubits:
+                    hits = np.flatnonzero(rng.random(amps.shape[1]) < p)
+                    if hits.size:
+                        _apply_paulis(amps, n, q, hits, rng.integers(3, size=hits.size))
 
 
 def _apply_paulis(amps: np.ndarray, n: int, q: int, cols: np.ndarray, kinds: np.ndarray) -> None:
@@ -235,7 +240,7 @@ def _apply_paulis(amps: np.ndarray, n: int, q: int, cols: np.ndarray, kinds: np.
 
 # --- public operations ----------------------------------------------------------
 
-def _checked_qubits(circuit: Circuit, limit: int = MAX_QUBITS) -> int:
+def _checked_qubits(circuit: Circuit | BlockCircuit, limit: int = MAX_QUBITS) -> int:
     """The circuit's qubit count, refused above ``limit`` before any allocation."""
     n = circuit.qubit_count
     if n > limit:
@@ -257,7 +262,7 @@ def apply_gate(state: Statevector, gate: Gate) -> Statevector:
     return simulate(Circuit(state.qubit_count, (gate,)), initial=state)
 
 
-def simulate(circuit: Circuit, initial: Statevector | None = None) -> Statevector:
+def simulate(circuit: Circuit | BlockCircuit, initial: Statevector | None = None) -> Statevector:
     """Run all gates noiselessly from |0..0> (or from ``initial``)."""
     n = _checked_qubits(circuit)
     if initial is None:
@@ -267,7 +272,7 @@ def simulate(circuit: Circuit, initial: Statevector | None = None) -> Statevecto
         raise InputError(f"initial state has {initial.qubit_count} qubits, circuit has {n}")
     else:
         amps = initial.amplitudes.copy()
-    _evolve(amps, n, circuit.gates)
+    _evolve(amps, n, circuit.blocks)
     return Statevector(n, amps)
 
 
@@ -328,7 +333,8 @@ def measure(state: Statevector, shots: int, seed: Seed) -> Histogram:
     return Histogram(shots, counts)
 
 
-def run_noisy(circuit: Circuit, noise: NoiseModel, shots: int, seed: Seed) -> Histogram:
+def run_noisy(circuit: Circuit | BlockCircuit, noise: NoiseModel, shots: int,
+              seed: Seed) -> Histogram:
     """Monte Carlo trajectories, batched: one pass per chunk of shots.
 
     Each column of a ``(2^n, chunk)`` amplitude array is one trajectory, and
@@ -357,7 +363,7 @@ def run_noisy(circuit: Circuit, noise: NoiseModel, shots: int, seed: Seed) -> Hi
         chunk = min(chunk_max, shots - start)
         amps = np.zeros((dim, chunk), dtype=np.complex128)
         amps[0] = 1.0
-        _evolve(amps, n, circuit.gates, noise, rng)
+        _evolve(amps, n, circuit.blocks, noise, rng)
         cdf = np.cumsum(np.abs(amps) ** 2, axis=0)
         u = rng.random(chunk) * cdf[-1]
         outcomes = np.minimum((cdf < u).sum(axis=0), dim - 1)
@@ -370,7 +376,7 @@ def run_noisy(circuit: Circuit, noise: NoiseModel, shots: int, seed: Seed) -> Hi
     )
 
 
-def circuit_unitary(circuit: Circuit) -> np.ndarray:
+def circuit_unitary(circuit: Circuit | BlockCircuit) -> np.ndarray:
     """Full 2^n x 2^n matrix, built by evolving all basis columns at once.
 
     Dense in both dimensions, so it is refused above 12 qubits (256 MiB)
@@ -378,7 +384,7 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
     """
     n = _checked_qubits(circuit, _MAX_UNITARY_QUBITS)
     mat = np.eye(1 << n, dtype=np.complex128)
-    _evolve(mat, n, circuit.gates)
+    _evolve(mat, n, circuit.blocks)
     return mat
 
 

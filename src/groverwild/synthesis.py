@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -21,17 +22,21 @@ from .errors import InputError
 __all__ = [
     "Gate",
     "Circuit",
+    "BlockCircuit",
     "GateStats",
     "synthesize_phase_oracle",
     "oracle_gate_count",
     "build_diffusion",
     "iteration_count",
     "check_grover_size",
+    "grover_blocks",
     "build_grover_circuit",
     "gate_stats",
     "circuit_to_json_dict",
+    "circuit_to_json_chunks",
     "circuit_to_json_text",
     "circuit_from_json_dict",
+    "circuit_to_qasm_chunks",
     "circuit_to_qasm",
 ]
 
@@ -109,6 +114,43 @@ class Circuit:
                 )
         object.__setattr__(self, "gates", gates)
 
+    @property
+    def blocks(self) -> tuple["Circuit"]:
+        """The circuit as a one-block ``BlockCircuit`` sees it."""
+        return (self,)
+
+
+@dataclass(frozen=True)
+class BlockCircuit:
+    """A circuit as an ordered sequence of ``Circuit`` blocks on one qubit count.
+
+    A repeated block is the same object, so the emitters and the simulator
+    format, count or validate it once however often it runs; Grover's k
+    rounds are one oracle block and one diffusion block repeated k times.
+    Its gates are the blocks' gates in order.
+    """
+
+    qubit_count: int
+    blocks: tuple[Circuit, ...] = ()
+
+    def __post_init__(self):
+        if self.qubit_count < 1:
+            raise InputError(f"qubit count must be >= 1, got {self.qubit_count}")
+        blocks = tuple(self.blocks)
+        for b in blocks:
+            if not isinstance(b, Circuit):
+                raise InputError(f"not a Circuit: {b!r}")
+            if b.qubit_count != self.qubit_count:
+                raise InputError(
+                    f"block on {b.qubit_count} qubits in a circuit on {self.qubit_count}"
+                )
+        object.__setattr__(self, "blocks", blocks)
+
+    @property
+    def gates(self) -> tuple[Gate, ...]:
+        """The unrolled gate list, built on each access; no gate is copied."""
+        return tuple(chain.from_iterable(b.gates for b in self.blocks))
+
 
 def synthesize_phase_oracle(table: TruthTable) -> Circuit:
     """Phase-polynomial circuit acting as |x> -> (-1)^f(x) |x>, exactly.
@@ -164,10 +206,10 @@ def iteration_count(qubit_count: int, marked_count: int) -> int:
     return max(1, math.floor((math.pi / 4) * math.sqrt(dim / marked_count)))
 
 
-def check_grover_size(qubits: int, oracle_gates: int, iterations: int) -> None:
-    """Refuse a negative round count, or one whose unrolled Grover circuit
-    (``n + k·(M + 4n + 2)`` gates for n ``qubits``, M ``oracle_gates`` and k
-    ``iterations``) would exceed 2^25 gates."""
+def check_grover_size(qubits: int, oracle_gates: int, iterations: int) -> int:
+    """The gate count of the unrolled Grover circuit, ``n + k·(M + 4n + 2)``
+    for n ``qubits``, M ``oracle_gates`` and k ``iterations``. A negative
+    round count, or a total above 2^25 gates, is refused."""
     if iterations < 0:
         raise InputError(f"iteration count must be >= 0, got {iterations}")
     total = qubits + iterations * (oracle_gates + 4 * qubits + 2)
@@ -176,10 +218,25 @@ def check_grover_size(qubits: int, oracle_gates: int, iterations: int) -> None:
             f"{iterations} iterations would unroll {total} gates; at most {_MAX_GROVER_GATES}"
             " are supported"
         )
+    return total
+
+
+def grover_blocks(oracle: Circuit, iterations: int) -> BlockCircuit:
+    """The Grover circuit as blocks: an H layer, then the oracle and diffusion
+    blocks repeated ``iterations`` times. Its gates are those of
+    ``build_grover_circuit``; nothing is unrolled.
+
+    Refused with ``InputError`` by ``check_grover_size`` before assembly.
+    """
+    check_grover_size(oracle.qubit_count, len(oracle.gates), iterations)
+    n = oracle.qubit_count
+    h_layer = Circuit(n, tuple(Gate.h(q) for q in range(n)))
+    return BlockCircuit(n, (h_layer,) + (oracle, build_diffusion(n)) * iterations)
 
 
 def build_grover_circuit(oracle: Circuit, iterations: int) -> Circuit:
-    """H layer, then ``iterations`` repetitions of (oracle, diffusion).
+    """H layer, then ``iterations`` repetitions of (oracle, diffusion), unrolled:
+    the reference the block form of ``grover_blocks`` is tested against.
 
     Refused with ``InputError`` by ``check_grover_size`` before assembly.
     """
@@ -200,32 +257,55 @@ class GateStats:
     depth: int
 
 
-def gate_stats(circuit: Circuit) -> GateStats:
+def _distinct_blocks(circuit: Circuit | BlockCircuit) -> list[Circuit]:
+    """Each block once, in order of first appearance."""
+    return list({id(b): b for b in circuit.blocks}.values())
+
+
+def _layer(gates: Iterable[Gate], level: list[int]) -> list[int]:
+    """Advance per-qubit ``level`` through ``gates`` by greedy layering, in place."""
+    for g in gates:
+        if g.qubits:  # the global phase flip occupies no qubits
+            layer = 1 + max(level[q] for q in g.qubits)
+            for q in g.qubits:
+                level[q] = layer
+    return level
+
+
+def gate_stats(circuit: Circuit | BlockCircuit) -> GateStats:
     """Per-kind counts, MCZ arity histogram, and greedy-layered depth.
 
     A gate's layer is one past the deepest layer currently touching any of
     its qubits; the global phase flip occupies no qubits and adds no depth.
+    Each distinct block is counted once, times its repeats. Layering
+    commutes with adding one constant to every qubit's level, so a block's
+    exit levels depend only on its entry levels less their minimum: a block
+    is walked gate by gate once per such entry profile, and looked up after.
     """
+    repeats = Counter(map(id, circuit.blocks))
     counts: Counter[str] = Counter()
     arities: Counter[int] = Counter()
-    level: dict[int, int] = {}
-    depth = 0
-    for g in circuit.gates:
-        counts[g.kind] += 1
-        if g.kind == "mcz":
-            arities[len(g.qubits)] += 1
-        if g.kind == "gphase":
-            continue
-        layer = 1 + max((level.get(q, 0) for q in g.qubits), default=0)
-        for q in g.qubits:
-            level[q] = layer
-        depth = max(depth, layer)
-    return GateStats(dict(counts), dict(arities), depth)
+    for block in _distinct_blocks(circuit):
+        times = repeats[id(block)]
+        for g in block.gates:
+            counts[g.kind] += times
+            if g.kind == "mcz":
+                arities[len(g.qubits)] += times
+    level = [0] * circuit.qubit_count
+    exits: dict[tuple[int, tuple[int, ...]], list[int]] = {}
+    for block in circuit.blocks:
+        base = min(level)
+        key = (id(block), tuple(lv - base for lv in level))
+        exit_levels = exits.get(key)
+        if exit_levels is None:
+            exit_levels = exits[key] = _layer(block.gates, list(key[1]))
+        level = [base + lv for lv in exit_levels]
+    return GateStats(dict(counts), dict(arities), max(level))
 
 
 # --- serialization -------------------------------------------------------------
 
-def circuit_to_json_dict(circuit: Circuit) -> dict:
+def circuit_to_json_dict(circuit: Circuit | BlockCircuit) -> dict:
     gates = []
     for g in circuit.gates:
         if g.kind == "gphase":
@@ -243,19 +323,35 @@ def _gate_json_text(gate: Gate) -> str:
     return f'    {{\n      "g": "{gate.kind}",\n      "q": [\n{qubits}\n      ]\n    }}'
 
 
-def circuit_to_json_text(circuit: Circuit) -> str:
-    """``json.dumps(circuit_to_json_dict(circuit), sort_keys=True, indent=2) + "\\n"``,
-    formatted directly: one text per distinct gate, no dict per gate, and a
-    single join, so the only large string built is the result."""
+def _block_json_text(block: Circuit) -> str:
+    texts = {g: _gate_json_text(g) for g in set(block.gates)}
+    return ",\n".join([texts[g] for g in block.gates])
+
+
+def circuit_to_json_chunks(circuit: Circuit | BlockCircuit) -> list[str]:
+    """``circuit_to_json_text`` as a list of chunks to write in order.
+
+    Each distinct non-empty block is formatted once (one text per distinct
+    gate) and its repeats share that string, so the whole text is never
+    held at once.
+    """
     head = '{\n  "gates": '
     tail = f',\n  "qubits": {circuit.qubit_count}\n}}\n'
-    if not circuit.gates:
-        return head + "[]" + tail
-    texts = {g: _gate_json_text(g) for g in set(circuit.gates)}
-    items = [texts[g] for g in circuit.gates]
-    items[0] = head + "[\n" + items[0]
-    items[-1] += "\n  ]" + tail
-    return ",\n".join(items)
+    texts = {id(b): _block_json_text(b) for b in _distinct_blocks(circuit) if b.gates}
+    parts = [texts[id(b)] for b in circuit.blocks if b.gates]
+    if not parts:
+        return [head + "[]" + tail]
+    chunks = [head + "[\n", parts[0]]
+    for part in parts[1:]:
+        chunks += (",\n", part)
+    chunks.append("\n  ]" + tail)
+    return chunks
+
+
+def circuit_to_json_text(circuit: Circuit | BlockCircuit) -> str:
+    """``json.dumps(circuit_to_json_dict(circuit), sort_keys=True, indent=2) + "\\n"``,
+    formatted directly from the chunks of ``circuit_to_json_chunks``."""
+    return "".join(circuit_to_json_chunks(circuit))
 
 
 def circuit_from_json_dict(data: Mapping) -> Circuit:
@@ -274,30 +370,39 @@ def circuit_from_json_dict(data: Mapping) -> Circuit:
     return Circuit(qubits, tuple(gates))
 
 
-def circuit_to_qasm(circuit: Circuit) -> str:
-    """OpenQASM 2.0 text; h/x/z/cz are native.
+def _qasm_line(g: Gate) -> str:
+    if g.kind in _SINGLE_QUBIT:
+        return f"{g.kind} q[{g.qubits[0]}];\n"
+    if g.kind == "mcz" and len(g.qubits) == 2:
+        return f"cz q[{g.qubits[0]}],q[{g.qubits[1]}];\n"
+    if g.kind == "mcz":
+        args = ",".join(f"q[{q}]" for q in g.qubits)
+        return f"mcz{len(g.qubits)} {args};\n"
+    return "// global phase flip (-1), not expressible in OPENQASM 2.0\n"
 
-    MCZ of arity >= 3 has no QASM 2.0 primitive and is declared ``opaque``
-    (a bodyless ``gate`` is not legal), and a global phase flip is not
-    expressible at all; both carry explanatory comments.
-    """
+
+def circuit_to_qasm_chunks(circuit: Circuit | BlockCircuit) -> list[str]:
+    """``circuit_to_qasm`` as a list of chunks: the header, then one text per
+    block, each distinct block formatted once and shared by its repeats."""
+    distinct = _distinct_blocks(circuit)
     lines = ["OPENQASM 2.0;", 'include "qelib1.inc";']
     arities = sorted(
-        {len(g.qubits) for g in circuit.gates if g.kind == "mcz" and len(g.qubits) > 2}
+        {len(g.qubits) for b in distinct for g in b.gates if g.kind == "mcz" and len(g.qubits) > 2}
     )
     for a in arities:
         params = ",".join(f"q{i}" for i in range(a))
         lines.append(f"// mcz{a}: phase flip on the all-ones subspace of {a} qubits")
         lines.append(f"opaque mcz{a} {params};")
     lines.append(f"qreg q[{circuit.qubit_count}];")
-    for g in circuit.gates:
-        if g.kind in _SINGLE_QUBIT:
-            lines.append(f"{g.kind} q[{g.qubits[0]}];")
-        elif g.kind == "mcz" and len(g.qubits) == 2:
-            lines.append(f"cz q[{g.qubits[0]}],q[{g.qubits[1]}];")
-        elif g.kind == "mcz":
-            args = ",".join(f"q[{q}]" for q in g.qubits)
-            lines.append(f"mcz{len(g.qubits)} {args};")
-        else:
-            lines.append("// global phase flip (-1), not expressible in OPENQASM 2.0")
-    return "\n".join(lines) + "\n"
+    texts = {id(b): "".join([_qasm_line(g) for g in b.gates]) for b in distinct}
+    return ["\n".join(lines) + "\n"] + [texts[id(b)] for b in circuit.blocks]
+
+
+def circuit_to_qasm(circuit: Circuit | BlockCircuit) -> str:
+    """OpenQASM 2.0 text; h/x/z/cz are native.
+
+    MCZ of arity >= 3 has no QASM 2.0 primitive and is declared ``opaque``
+    (a bodyless ``gate`` is not legal), and a global phase flip is not
+    expressible at all; both carry explanatory comments.
+    """
+    return "".join(circuit_to_qasm_chunks(circuit))

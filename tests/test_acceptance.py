@@ -93,7 +93,7 @@ def test_c03_demo_scenarios_ideal():
 
     two = compile_pipeline(dataset, [parse_term("01*")])
     assert (two.marked_count, two.iterations) == (2, 1)
-    probs = probabilities(simulate(two.grover))
+    probs = probabilities(simulate(build_grover_circuit(two.oracle, two.iterations)))
     assert abs(probs[0b010] - 0.5) <= 1e-9
     assert abs(probs[0b011] - 0.5) <= 1e-9
     others = [probs[x] for x in range(8) if x not in (0b010, 0b011)]
@@ -101,13 +101,13 @@ def test_c03_demo_scenarios_ideal():
 
     one = compile_pipeline(dataset, [parse_term("00*")])
     assert (one.marked_count, one.iterations) == (1, 2)
-    probs = probabilities(simulate(one.grover))
+    probs = probabilities(simulate(build_grover_circuit(one.oracle, one.iterations)))
     assert abs(probs[0b000] - 0.9453) <= 1e-4
     assert abs(probs[0b000] - math.sin(5 * math.asin(math.sqrt(1 / 8))) ** 2) <= 1e-9
 
     control = compile_pipeline(dataset, [parse_term("10*")])
     assert (control.marked_count, control.iterations) == (0, 1)
-    probs = probabilities(simulate(control.grover))
+    probs = probabilities(simulate(build_grover_circuit(control.oracle, control.iterations)))
     assert np.max(np.abs(probs - 0.125)) <= 1e-12
 
     _report("criterion 3 (3-qubit scenario probabilities: 0.5/0.5, 0.9453, uniform)")

@@ -5,7 +5,8 @@ import pytest
 
 from groverwild import cli, synthesis
 from groverwild.cli import main
-from groverwild.scenarios import DEMO_DATASET
+from groverwild.errors import InputError
+from groverwild.scenarios import DEMO_DATASET, bundled_scenarios
 
 
 @pytest.fixture
@@ -206,6 +207,29 @@ class TestExperiment:
         assert csv_lines[0] == "trial,scenario,top_states"
         assert len(csv_lines) == 1 + 3 * 6
 
+    def test_noisy_cost_refused_before_any_work(self, tmp_path, capsys):
+        # 16 qubits at the default 6 trials x 1024 shots: far above 2^36 updates
+        data = tmp_path / "wide.txt"
+        data.write_text("".join(s * 2 + "\n" for s in ("abcd", "dcba", "aabb")), encoding="utf-8")
+        start = time.perf_counter()
+        assert run(["experiment", "--data", data, "--term", "a*", "--out", tmp_path / "o"]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("error: 6 noisy trials of 1024 shots over ")
+        assert err.endswith(f"; at most {1 << 36} are supported\n") and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
+    def test_noisy_cost_bound_is_exact(self, monkeypatch):
+        scenario = next(s for s in bundled_scenarios() if s.name == "one-match")
+        config = cli.RunConfig(shots=16, trials=2)
+        pipeline = cli.compile_pipeline(scenario.dataset, scenario.terms())
+        updates = 2 * 16 * (pipeline.gate_count << 3)
+        monkeypatch.setattr(cli, "_MAX_NOISY_UPDATES", updates)
+        cli.run_scenario(scenario, config)
+        monkeypatch.setattr(cli, "_MAX_NOISY_UPDATES", updates - 1)
+        with pytest.raises(InputError, match=f"would take {updates} amplitude updates"):
+            cli.run_scenario(scenario, config)
+
     def test_single_trial_exit_2(self, tmp_path, capsys):
         assert run(["experiment", "--trials", "1", "--out", tmp_path / "o"]) == 2
 
@@ -320,6 +344,27 @@ class TestUsage:
     def test_unknown_command_exit_2(self, capsys):
         assert run(["frobnicate"]) == 2
 
+    @pytest.mark.parametrize(
+        "args, line",
+        [
+            (["--term"], "error: argument --term: expected one argument\n"),
+            (["--term", "0*", "--shots", "x"], "error: argument --shots: invalid int value: 'x'\n"),
+        ],
+    )
+    def test_usage_error_is_one_error_line(self, args, line, demo_data, tmp_path, capsys):
+        assert run(["search", "--data", demo_data, *args, "--out", tmp_path / "o"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == line
+        assert captured.out == ""
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("args", [["--help"], ["search", "--help"]])
+    def test_help_exit_0(self, args, capsys):
+        assert run(args) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: groverwild")
+        assert captured.err == ""
+
     def test_iterations_override(self, demo_data, tmp_path):
         out_dir = tmp_path / "out"
         assert (
@@ -352,17 +397,22 @@ class TestUsage:
 
 
 class TestGateListOnlyWhereNeeded:
-    """Noiseless search and verify never unroll the Grover gate list."""
+    """No command unrolls the Grover gate list: noiseless search and verify
+    skip the gates, compile and experiment work on the blocks."""
 
     @staticmethod
     def refuse(*args, **kwargs):
-        raise AssertionError("build_grover_circuit called on a noiseless path")
+        raise AssertionError("build_grover_circuit called")
 
     def test_search_and_verify_skip_the_gate_list(self, demo_data, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(cli, "build_grover_circuit", self.refuse)
+        monkeypatch.setattr(synthesis, "build_grover_circuit", self.refuse)
         assert run(["search", "--data", demo_data, "--term", "01*", "--out", tmp_path / "o"]) == 0
         assert run(["verify"]) == 0
         assert run(["verify", "--data", demo_data, "--term", "0*"]) == 0
+        assert run(["compile", "--emit-qasm", "--data", demo_data, "--term", "01*",
+                    "--out", tmp_path / "c"]) == 0
+        assert run(["experiment", "--shots", "128", "--trials", "2", "--out", tmp_path / "e"]) == 0
 
     @pytest.mark.parametrize(
         "args",
@@ -373,13 +423,14 @@ class TestGateListOnlyWhereNeeded:
     )
     def test_compile_and_experiment_build_it(self, args, demo_data, tmp_path, monkeypatch, capsys):
         calls = []
-        real = cli.build_grover_circuit
+        real = cli.grover_blocks
 
         def counting(*a, **kw):
             calls.append(a)
             return real(*a, **kw)
 
-        monkeypatch.setattr(cli, "build_grover_circuit", counting)
+        monkeypatch.setattr(cli, "grover_blocks", counting)
+        monkeypatch.setattr(cli, "build_grover_circuit", self.refuse)
         argv = [str(demo_data) if a == "{data}" else a for a in args]
         assert run(argv + ["--out", tmp_path / "o"]) == 0
         assert calls

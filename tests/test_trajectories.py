@@ -65,7 +65,8 @@ def total_variation(hist, probs: np.ndarray) -> float:
 
 def bundled_circuit(name: str) -> Circuit:
     scenario = next(s for s in bundled_scenarios() if s.name == name)
-    return compile_pipeline(scenario.dataset, scenario.terms()).grover
+    pipeline = compile_pipeline(scenario.dataset, scenario.terms())
+    return build_grover_circuit(pipeline.oracle, pipeline.iterations)
 
 
 def random_oracle_circuit(n: int, marked: int, seed: int) -> Circuit:
